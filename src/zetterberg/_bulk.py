@@ -2,11 +2,13 @@
 
 Everything here reproduces the scalar Field semantics exactly; numpy is used
 only to process many field elements per call.  Element codes travel as int64
-arrays; digit matrices use exact small-integer arithmetic (float64 matmuls
-stay far below 2^53, so they are exact too).
+arrays; digit matrices use exact small-integer arithmetic (float matmuls stay
+below the mantissa limit of their dtype, so they are exact too).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -22,10 +24,24 @@ class BulkField:
         self.k = F.k
         self.order = F.order
         self._pk = np.array([F.p**i for i in range(F.k)], dtype=np.int64)
+        self._pk_float = self._pk.astype(np.float64)
+        # a digit product sums k^2 terms below p^2 times a matrix entry below
+        # p; pick the smaller float dtype that holds such sums exactly, with
+        # room for _reduce (codes themselves are summed in float64)
+        bound = F.k**2 * (F.p - 1) ** 3
+        if bound >= 2**52 or F.order > 2**53:
+            self._dtype = None  # the digit kernels refuse such fields
+        elif bound < 2**23:
+            self._dtype = np.float32
+        else:
+            self._dtype = np.float64
+        self._frob = [np.eye(F.k, dtype=self._dtype)]  # Frobenius powers 0, 1, ...
 
-    # -- digit representation (odd characteristic)
+    # -- digit representation
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
+        if self.p == 2:
+            return np.asarray(codes, dtype=np.int64)[:, None] >> np.arange(self.k) & 1
         out = np.empty((codes.shape[0], self.k), dtype=np.int64)
         c = codes.astype(np.int64, copy=True)
         for i in range(self.k):
@@ -35,6 +51,107 @@ class BulkField:
 
     def encode(self, digits: np.ndarray) -> np.ndarray:
         return (digits % self.p) @ self._pk
+
+    def _digits(self, codes: np.ndarray) -> np.ndarray:
+        if self._dtype is None:
+            raise ValueError(f"{self.F} is too large for exact float digit kernels")
+        return self.decode(codes).astype(self._dtype)
+
+    def _codes(self, digits: np.ndarray) -> np.ndarray:
+        # digits are reduced mod p; float64 holds every code exactly
+        return (digits @ self._pk_float).astype(np.int64)
+
+    def _reduce(self, x: np.ndarray) -> np.ndarray:
+        """x mod p for nonnegative integers x held exactly in a float dtype
+        (below half its mantissa limit): the correctly rounded x / p then
+        floors to the exact quotient.  Cheaper than the float remainder."""
+        return x - self.p * np.floor(x / self.p)
+
+    def _frobenius_matrix(self, e: int) -> np.ndarray:
+        """Digit matrix of y -> y^(p^e), composed from the matrix of y -> y^p."""
+        frob = self._frob
+        if len(frob) == 1:
+            rows = [self.F.decode(self.F.pow(int(c), self.p)) for c in self._pk]
+            frob.append(np.array(rows, dtype=self._dtype))
+        while len(frob) <= e:
+            frob.append(self._reduce(frob[-1] @ frob[1]))
+        return frob[e]
+
+    def _frobenius(self, digits: np.ndarray, e: int) -> np.ndarray:
+        """digits of y^(p^e)."""
+        return self._reduce(digits @ self._frobenius_matrix(e))
+
+    @cached_property
+    def _shift_matrix(self) -> np.ndarray:
+        # S[j, i*k + l] is digit l of X^(i+j) mod the field modulus, so that
+        # b @ S lists, for each i, the digits of X^i * b
+        F, k = self.F, self.k
+        x_pows = [1]
+        for _ in range(2 * k - 2):
+            x_pows.append(F.mul(x_pows[-1], F.p))  # code p is X (k >= 2)
+        rows = np.array([F.decode(c) for c in x_pows], dtype=self._dtype)
+        return rows[np.add.outer(np.arange(k), np.arange(k))].reshape(k, k * k)
+
+    def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """digits of a*b = sum_i a_i * (X^i * b); a and b broadcast along
+        the first axis."""
+        shifted = (b @ self._shift_matrix).reshape(-1, self.k, self.k)
+        return self._reduce((a[:, None, :] @ shifted)[:, 0, :])
+
+    def _chain(self, digits: np.ndarray, n: int) -> np.ndarray:
+        """digits of y^(1 + p + ... + p^(n-1)), n >= 1, by the Itoh-Tsujii
+        addition chain r_(2a) = r_a^(p^a) * r_a, r_(a+1) = r_a^p * y."""
+        r, a = digits, 1
+        for bit in bin(n)[3:]:
+            r = self._mul(self._frobenius(r, a), r)
+            a *= 2
+            if bit == "1":
+                r = self._mul(self._frobenius(r, 1), digits)
+                a += 1
+        return r
+
+    # -- elementwise kernels on arrays of codes
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a*b elementwise; a length-1 array broadcasts."""
+        return self._codes(self._mul(self._digits(a), self._digits(b)))
+
+    def inverse(self, codes: np.ndarray) -> np.ndarray:
+        """y^(q-2) in characteristic 2: 1/y, and 0 for y = 0.
+
+        q - 2 = 2*(1 + 2 + ... + 2^(k-2)), so y^(q-2) = chain(y, k-1)^2.
+        """
+        if self.p != 2:
+            raise ValueError("the inverse kernel needs characteristic 2")
+        if self.k == 1:
+            return np.array(codes, dtype=np.int64)  # F_2: 1/1 = 1
+        return self._codes(self._frobenius(self._chain(self._digits(codes), self.k - 1), 1))
+
+    def trace(self, codes: np.ndarray, sub_degree: int) -> np.ndarray:
+        """Tr to the subfield F_{p^sub_degree}: the sum of the Frobenius
+        powers p^(sub_degree*i), an F_p-linear map."""
+        if self.k % sub_degree:
+            raise ValueError("subfield degree must divide k")
+        M = self._reduce(sum(self._frobenius_matrix(e) for e in range(0, self.k, sub_degree)))
+        return self._codes(self._reduce(self._digits(codes) @ M))
+
+    @cached_property
+    def _legendre(self) -> np.ndarray:
+        t = np.full(self.p, -1, dtype=np.int8)
+        t[np.arange(1, self.p, dtype=np.int64) ** 2 % self.p] = 1
+        t[0] = 0
+        return t
+
+    def chi(self, codes: np.ndarray) -> np.ndarray:
+        """Quadratic character in {-1, 0, +1} (odd p).
+
+        y^((q-1)/2) = N(y)^((p-1)/2) with N(y) = y^(1 + p + ... + p^(k-1))
+        in F_p, so chi(y) is the Legendre symbol of the norm's constant digit.
+        """
+        if self.p == 2:
+            raise ValueError("quadratic character needs odd characteristic")
+        norm = self._chain(self._digits(codes), self.k)[:, 0]
+        return self._legendre[norm.astype(np.int64)]
 
     # -- elementwise field ops against a constant
 
@@ -74,11 +191,11 @@ class BulkField:
 
     # -- group enumeration and character tables
 
-    def build_exp(self) -> np.ndarray:
-        """exp[j] = code of g^j for 0 <= j < order-1, by doubling."""
-        n1 = self.order - 1
+    def build_exp(self, n: int | None = None) -> np.ndarray:
+        """exp[j] = code of g^j for 0 <= j < n (default order-1), by doubling."""
+        n1 = self.order - 1 if n is None else n
         exp = np.empty(n1, dtype=np.int64)
-        exp[0] = 1
+        exp[:1] = 1
         filled = 1
         while filled < n1:
             c = self.F.pow(self.F.generator, filled)
@@ -161,7 +278,7 @@ def covering_layers(bf: BulkField, steps) -> np.ndarray:
                 if remaining.size == 0:
                     break
                 prev = bf.sub_const(remaining, c)
-                hit = layer[prev] != 0xFF
+                hit = layer[prev] < level
                 found = remaining[hit]
                 if found.size:
                     layer[found] = level

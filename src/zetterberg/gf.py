@@ -12,7 +12,6 @@ Arithmetic is exposed as methods of Field / FieldContext acting on codes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -421,25 +420,17 @@ class Field:
 
     @cached_property
     def generator(self) -> int:
-        """First code (ascending) generating the full multiplicative group."""
+        """First code (ascending) generating the full multiplicative group.
+
+        For k >= 2 the scan starts at code p: codes below p are the F_p
+        constants, whose orders divide p - 1 < p^k - 1.
+        """
         n1 = self.order - 1
         cofactors = [n1 // r for r, _ in self.order_factorization]
-        for z in range(1, self.order):
+        for z in range(1 if self.k == 1 else self.p, self.order):
             if all(self.pow(z, c) != 1 for c in cofactors):
                 return z
         raise ArithmeticError("no generator found")  # unreachable
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative order")
-        o = self.order - 1
-        for r, e in self.order_factorization:
-            for _ in range(e):
-                if self.pow(a, o // r) == 1:
-                    o //= r
-                else:
-                    break
-        return o
 
     def subfield_elements(self, d: int) -> list[int]:
         """Sorted codes of the subfield of order p^d (d | k)."""
@@ -618,8 +609,4 @@ def make_field(p: int, m: int, s: int, caps: Caps = DEFAULT_CAPS,
 def make_field_for_q0(q0: int, s: int, caps: Caps = DEFAULT_CAPS,
                       modulus_skip: int = 0) -> FieldContext:
     p, m = prime_power_split(q0)
-    return FieldContext(p, m, s, caps=caps, modulus_skip=modulus_skip)
-
-
-def context_to_json_str(ctx: FieldContext) -> str:
-    return json.dumps(ctx.to_json(), sort_keys=True)
+    return _cached_context(p, m, s, caps, modulus_skip)

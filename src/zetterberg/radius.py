@@ -24,7 +24,7 @@ from .errors import (FormulaMismatch, PreconditionViolated, SizeCapExceeded,
 from .gf import Field, FieldContext, find_irreducible, make_field_for_q0, prime_power_split
 from . import thresholds, tower
 
-_SCALAR_SCAN_LIMIT = 4096  # larger fields get the vectorized scan
+_BLOCK = 1 << 15  # scan block length once the full tables are built
 
 
 @dataclass
@@ -123,11 +123,24 @@ def _criterion_field(q0: int, s: int, caps: Caps, modulus_skip: int) -> Field:
     return Field(p, s * m, find_irreducible(p, s * m, skip=modulus_skip))
 
 
+def _scan_blocks(n1: int, lazy: int) -> list[tuple[int, int]]:
+    """Index ranges [j0, j1) covering 0 <= j < n1: the lazy prefix [0, lazy)
+    in two halves, then blocks of _BLOCK.  Every range is also cut at the
+    multiples of _BLOCK, so an early exit never scans past the block a plain
+    table scan would have finished."""
+    cuts = sorted({lazy // 2, lazy, n1}.union(range(_BLOCK, n1, _BLOCK)) - {0})
+    return list(zip([0] + cuts[:-1], cuts))
+
+
 def _odd_scan(K: Field, q0: int, budget: _EvalBudget, count_all: bool):
     """Witnesses x in F_q^* minus the q0-squares with x*(x-beta) always square.
 
     Enumerates x as ascending powers of the generator; returns
     (first witness or None, count) with count only exact when count_all.
+    The first (q-1) >> 8 powers come from a short exp prefix and chi is
+    evaluated per element; the full exp and chi tables are built only when
+    that prefix holds no witness (at once when counting), and the scan goes
+    on from the end of the prefix by table lookup.
     """
     p = K.p
     m = 0
@@ -137,42 +150,20 @@ def _odd_scan(K: Field, q0: int, budget: _EvalBudget, count_all: bool):
         m += 1
     sub = K.subfield_elements(m)
     squares = sorted({K.mul(c, c) for c in sub if c})
-    q = K.order
+    sq_arr = np.array(squares, dtype=np.int64)
+    n1 = K.order - 1
+    lazy = 0 if count_all else n1 >> 8
+    bf = BulkField(K)
+    exp = bf.build_exp(lazy) if lazy else None
+    chi = None  # the full table, once built
     first = None
     count = 0
-    if q <= _SCALAR_SCAN_LIMIT:
-        sq_set = set(squares)
-        g = K.generator
-        x = 1
-        for j in range(q - 1):
-            if j:
-                x = K.mul(x, g)
-            if x in sq_set:
-                continue
-            chi_x = 1 if j % 2 == 0 else -1
-            ok = True
-            for beta in squares:
-                budget.spend(1)
-                y = K.sub(x, beta)
-                chi_y = 1 if K.pow(y, (q - 1) // 2) == 1 else -1
-                if chi_x * chi_y != 1:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-                if first is None:
-                    first = x
-                if not count_all:
-                    return first, count
-        return first, count
-    bf = BulkField(K)
-    exp = bf.build_exp()
-    chi = bf.build_chi_table(exp)
-    sq_arr = np.array(squares, dtype=np.int64)
-    block = 1 << 15
-    for j0 in range(0, q - 1, block):
-        codes = exp[j0:j0 + block]
-        signs = np.where((np.arange(j0, j0 + codes.size) & 1) == 0, 1, -1).astype(np.int8)
+    for j0, j1 in _scan_blocks(n1, lazy):
+        if j0 == lazy:
+            exp = bf.build_exp()
+            chi = bf.build_chi_table(exp)
+        codes = exp[j0:j1]
+        signs = np.where((np.arange(j0, j1) & 1) == 0, 1, -1).astype(np.int8)
         keep = ~np.isin(codes, sq_arr)
         cur_codes = codes[keep]
         cur_signs = signs[keep]
@@ -181,7 +172,7 @@ def _odd_scan(K: Field, q0: int, budget: _EvalBudget, count_all: bool):
                 break
             budget.spend(int(cur_codes.size))
             y = bf.sub_const(cur_codes, beta)
-            ok = chi[y] == cur_signs
+            ok = (bf.chi(y) if chi is None else chi[y]) == cur_signs
             cur_codes = cur_codes[ok]
             cur_signs = cur_signs[ok]
         if cur_codes.size:
@@ -227,51 +218,40 @@ def witness_count_odd(q0: int, s: int, caps: Caps = DEFAULT_CAPS,
 
 def _even_scan(K: Field, q0: int, budget: _EvalBudget):
     """First alpha outside F_q0 with zero trace and all 1/(1+b*alpha) traces
-    in {0, 1}, enumerated as ascending powers of the generator."""
-    p = K.p
+    in {0, 1}, enumerated as ascending powers of the generator.
+
+    As in _odd_scan, the first (q-1) >> 8 powers are tested per element
+    (trace, inverse and product kernels); the exp, log and trace tables are
+    built only when that prefix holds no witness.
+    """
     m = q0.bit_length() - 1
     sub = K.subfield_elements(m)
     sub_nonzero = [c for c in sub if c]
-    q = K.order
-    if q <= _SCALAR_SCAN_LIMIT:
-        sub_set = set(sub)
-        g = K.generator
-        alpha = 1
-        for j in range(q - 1):
-            if j:
-                alpha = K.mul(alpha, g)
-            if alpha in sub_set:
-                continue
-            if K.trace_to(alpha, m) != 0:
-                continue
-            ok = True
-            for b in sub_nonzero:
-                budget.spend(1)
-                t = K.trace_to(K.inv(K.add(1, K.mul(b, alpha))), m)
-                if t not in (0, 1):
-                    ok = False
-                    break
-            if ok:
-                return alpha
-        return None
-    bf = BulkField(K)
-    exp = bf.build_exp()
-    log = bf.build_log_table(exp)
-    tr = bf.build_trace_table_char2(m)
     sub_arr = np.array(sub, dtype=np.int64)
-    n1 = q - 1
-    block = 1 << 15
-    for j0 in range(0, n1, block):
-        codes = exp[j0:j0 + block]
-        keep = (tr[codes] == 0) & ~np.isin(codes, sub_arr)
-        cur = codes[keep]
+    n1 = K.order - 1
+    lazy = n1 >> 8
+    bf = BulkField(K)
+    exp = bf.build_exp(lazy) if lazy else None
+    log = tr = None  # the full tables, once built
+    for j0, j1 in _scan_blocks(n1, lazy):
+        if j0 == lazy:
+            exp = bf.build_exp()
+            log = bf.build_log_table(exp)
+            tr = bf.build_trace_table_char2(m)
+        codes = exp[j0:j1]
+        tr_codes = bf.trace(codes, m) if tr is None else tr[codes]
+        cur = codes[(tr_codes == 0) & ~np.isin(codes, sub_arr)]
         for b in sub_nonzero:
             if cur.size == 0:
                 break
             budget.spend(int(cur.size))
-            y = exp[(log[cur] + log[b]) % n1] ^ 1  # 1 + b*alpha, never 0
-            inv = exp[(n1 - log[y]) % n1]
-            t = tr[inv]
+            # y = 1 + b*alpha, never 0; t = Tr(1/y)
+            if tr is None:
+                y = bf.mul(cur, np.array([b])) ^ 1
+                t = bf.trace(bf.inverse(y), m)
+            else:
+                y = exp[(log[cur] + log[b]) % n1] ^ 1
+                t = tr[exp[(n1 - log[y]) % n1]]
             cur = cur[(t == 0) | (t == 1)]
         if cur.size:
             return int(cur[0])

@@ -9,8 +9,6 @@ from __future__ import annotations
 from .errors import PreconditionViolated
 from .gf import Field, FieldContext
 
-LEVELS = ("q2", "q", "q0")
-
 
 def level_degree(ctx: FieldContext, level: str) -> int:
     """Degree over F_p of the named level."""

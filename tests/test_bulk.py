@@ -24,6 +24,10 @@ def test_bulk_ops_match_scalar(p, k):
             assert int(added[i]) == F.add(a, c)
             assert int(subbed[i]) == F.sub(a, c)
             assert int(mulled[i]) == F.mul(a, c)
+    other = codes[::-1].copy()
+    prod = bf.mul(codes, other)
+    for i in range(200):
+        assert int(prod[i]) == F.mul(int(codes[i]), int(other[i]))
 
 
 def test_exp_chi_log_tables_match_scalar():
@@ -54,6 +58,46 @@ def test_trace_table_char2_matches_scalar():
             assert int(tr[v]) == F.trace_to(v, d)
 
 
+def test_exp_prefix_matches_full_table():
+    bf = BulkField(Field(5, 3))
+    full = bf.build_exp()
+    for n in (0, 1, 2, 7, 64, 124):
+        assert (bf.build_exp(n) == full[:n]).all()
+
+
+@pytest.mark.parametrize("p,k", [(3, 4), (5, 3), (29, 2)])
+def test_chi_kernel_matches_table_and_norm(p, k):
+    F = Field(p, k)
+    bf = BulkField(F)
+    everything = np.arange(F.order, dtype=np.int64)
+    chi = bf.chi(everything)
+    assert (chi == bf.build_chi_table(bf.build_exp())).all()
+    for y in range(F.order):
+        # scalar reference: Euler's criterion on the norm down to F_p
+        euler = pow(F.norm_to(y, 1), (p - 1) // 2, p)
+        assert int(chi[y]) == (euler if euler < 2 else -1)
+
+
+@pytest.mark.parametrize("k", [8, 11])
+def test_char2_inverse_kernel(k):
+    F = Field(2, k)
+    bf = BulkField(F)
+    nonzero = np.arange(1, F.order, dtype=np.int64)
+    inv = bf.inverse(nonzero)
+    assert (bf.mul(nonzero, inv) == 1).all()
+    assert int(bf.inverse(np.zeros(1, dtype=np.int64))[0]) == 0
+
+
+@pytest.mark.parametrize("k", [6, 8, 12])
+def test_trace_kernel_matches_table(k):
+    F = Field(2, k)
+    bf = BulkField(F)
+    everything = np.arange(F.order, dtype=np.int64)
+    for d in range(1, k + 1):
+        if k % d == 0:
+            assert (bf.trace(everything, d) == bf.build_trace_table_char2(d)).all()
+
+
 def test_covering_layers_rejects_asymmetric_steps():
     F = Field(3, 2)
     bf = BulkField(F)
@@ -68,3 +112,56 @@ def test_covering_layers_tiny_group():
     bf = BulkField(F)
     layer = covering_layers(bf, [1, F.neg(1)])
     assert layer[0] == 0 and layer[1] == 1 and layer[2] == 1
+
+
+def test_digit_kernels_refuse_inexact_fields():
+    # digit products of F_p^2 with p near 10^6 overflow a float mantissa
+    bf = BulkField(Field(1000003, 2))
+    codes = np.arange(5, dtype=np.int64)
+    with pytest.raises(ValueError):
+        bf.mul(codes, codes)
+    with pytest.raises(ValueError):
+        bf.chi(codes)
+
+
+def _scalar_layers(F, steps):
+    # level-by-level BFS over the additive group with plain sets
+    layers = {0: 0}
+    frontier = {0}
+    level = 0
+    while frontier:
+        level += 1
+        frontier = {F.add(v, c) for v in frontier for c in steps} - layers.keys()
+        for v in frontier:
+            layers[v] = level
+    return layers
+
+
+def _check_against_scalar_bfs(F, steps):
+    layers = _scalar_layers(F, steps)
+    if len(layers) < F.order:
+        with pytest.raises(ArithmeticError):
+            covering_layers(BulkField(F), steps)
+        return
+    layer = covering_layers(BulkField(F), steps)
+    assert [int(v) for v in layer] == [layers[v] for v in range(F.order)]
+
+
+def test_covering_layers_bottom_up_uses_previous_level_only():
+    # a bottom-up pass that accepts a predecessor found earlier in the same
+    # level reports radius 7 here and gets 40 layers wrong
+    F = Field(101, 1)
+    steps = [17, 84, 40, 61]
+    layer = covering_layers(BulkField(F), steps)
+    assert int(layer.max()) == 8
+    _check_against_scalar_bfs(F, steps)
+
+
+def test_covering_layers_fuzz_against_scalar_bfs():
+    rng = random.Random(2024)
+    for p, k in [(101, 1), (211, 1), (3, 5), (5, 3), (2, 8), (7, 3)]:
+        F = Field(p, k)
+        for _ in range(8):
+            picks = {rng.randrange(1, F.order) for _ in range(rng.randrange(1, 4))}
+            steps = sorted(picks | {F.neg(c) for c in picks})
+            _check_against_scalar_bfs(F, steps)

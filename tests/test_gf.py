@@ -6,7 +6,7 @@ import pytest
 from zetterberg.caps import Caps
 from zetterberg.errors import SizeCapExceeded
 from zetterberg.gf import (Field, factorize, find_irreducible, is_prime,
-                           make_field, prime_power_split)
+                           make_field, make_field_for_q0, prime_power_split)
 
 
 def brute_irreducible_quadratics_f3():
@@ -57,6 +57,28 @@ def test_make_field_f4096_factorization_and_generator():
         x = ctx.mul(x, ctx.g)
         order += 1
     assert order == 4095
+
+
+def test_generator_matches_brute_force_scan():
+    # the first code from 1 on whose powers walk the whole multiplicative group
+    for p, k in [(2, 4), (3, 3), (5, 2), (7, 1), (29, 2)]:
+        F = Field(p, k)
+        brute = None
+        for z in range(1, F.order):
+            x, order = z, 1
+            while x != 1:
+                x = F.mul(x, z)
+                order += 1
+            if order == F.order - 1:
+                brute = z
+                break
+        assert F.generator == brute
+
+
+def test_make_field_for_q0_is_cached():
+    assert make_field_for_q0(9, 2) is make_field_for_q0(9, 2)
+    assert make_field_for_q0(9, 2) is make_field(3, 2, 2)
+    assert make_field_for_q0(9, 2, modulus_skip=1) is not make_field_for_q0(9, 2)
 
 
 def test_field_axioms_randomized():

@@ -214,17 +214,76 @@ def test_even_scan_matches_naive_double_loop():
     assert K.encode(rep.witness) in naive
 
 
-def test_vectorized_scan_matches_scalar_scan(monkeypatch):
-    # the two implementations must agree on decision, witness and count;
-    # force the vector path onto fields the scalar path handles by default
-    scalar_odd = R.rho_criterion_odd(13, 3)
-    scalar_count = R.witness_count_odd(13, 3)
-    scalar_odd_2 = R.rho_criterion_odd(17, 3)
-    scalar_even = R.rho_criterion_even(4, 5)
-    monkeypatch.setattr(R, "_SCALAR_SCAN_LIMIT", 64)
-    vector_odd = R.rho_criterion_odd(13, 3)
-    assert (vector_odd.rho, vector_odd.witness) == (scalar_odd.rho, scalar_odd.witness)
-    assert R.witness_count_odd(13, 3) == scalar_count
-    assert R.rho_criterion_odd(17, 3).rho == scalar_odd_2.rho == 2
-    vector_even = R.rho_criterion_even(4, 5)
-    assert (vector_even.rho, vector_even.witness) == (scalar_even.rho, scalar_even.witness)
+def _naive_scan(q0, s):
+    """Criterion witnesses in generator-power order, by plain double loops,
+    and the character evaluations an exhaustive scan charges for them."""
+    from zetterberg.gf import Field, find_irreducible, prime_power_split
+    p, m = prime_power_split(q0)
+    K = Field(p, s * m, find_irreducible(p, s * m))
+    sub = K.subfield_elements(m)
+    powers = [1]
+    for _ in range(K.order - 2):
+        powers.append(K.mul(powers[-1], K.generator))
+    if q0 % 2:
+        squares_q = {K.mul(x, x) for x in range(1, K.order)}
+        tests = sorted({K.mul(c, c) for c in sub if c})
+        candidates = [x for x in powers if x not in tests]
+
+        def passes(x, b):
+            return K.mul(x, K.sub(x, b)) in squares_q
+    else:
+        tests = [b for b in sub if b]
+        candidates = [a for a in powers if a not in sub and K.trace_to(a, m) == 0]
+
+        def passes(a, b):
+            return K.trace_to(K.inv(K.add(1, K.mul(b, a))), m) in (0, 1)
+    witnesses, spent = [], 0
+    for x in candidates:
+        for b in tests:
+            spent += 1
+            if not passes(x, b):
+                break
+        else:
+            witnesses.append(x)
+    return witnesses, spent
+
+
+def test_scan_matches_naive_double_loops():
+    # decision, first witness in scan order, witness count, and the exact
+    # budget of every exhaustive scan
+    for q0, s in [(3, 2), (5, 2), (13, 3), (17, 3), (4, 5), (16, 3)]:
+        naive, spent = _naive_scan(q0, s)
+        rep = R.rho_criterion(q0, s)
+        assert rep.rho == (3 if naive else 2)
+        field = rep.witness_field
+        first = None if rep.witness is None else \
+            sum(d * field["p"] ** i for i, d in enumerate(rep.witness))
+        assert first == (naive[0] if naive else None)
+        K = R._criterion_field(q0, s, Caps(), 0)
+        if q0 % 2 and s % 2:
+            assert R.witness_count_odd(q0, s) == len(naive)
+            budget = R._EvalBudget(Caps().scan_cap)
+            assert R._odd_scan(K, q0, budget, count_all=True) == (first, len(naive))
+            assert budget.used == spent
+        if not naive:  # a rho=2 scan is exhaustive too
+            budget = R._EvalBudget(Caps().scan_cap)
+            if q0 % 2:
+                assert R._odd_scan(K, q0, budget, count_all=False) == (None, 0)
+            else:
+                assert R._even_scan(K, q0, budget) is None
+            assert budget.used == spent
+
+
+def test_criterion_witnesses_pinned():
+    # witnesses found early in large scans, as the full-table scan found them
+    pinned = {
+        (4, 9): ([1, 1, 0, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1],
+                 {"p": 2, "k": 18,
+                  "modulus": [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1]}),
+        (27, 4): ([0, 0, 0, 1, 1, 0, 0, 1, 2, 2, 1, 1],
+                  {"p": 3, "k": 12, "modulus": [1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1]}),
+        (19, 5): ([1, 9, 13, 17, 9], {"p": 19, "k": 5, "modulus": [1, 0, 0, 0, 3, 1]}),
+    }
+    for (q0, s), (witness, field) in pinned.items():
+        rep = R.rho_criterion(q0, s)
+        assert (rep.rho, rep.witness, rep.witness_field) == (3, witness, field)
