@@ -12,7 +12,7 @@ from .code import (ZetterbergCode, build_code, min_distance_exhaustive,
                    weight3_witness_even, weight3_witness_half_odd)
 from .errors import (FormulaMismatch, PreconditionViolated, SizeCapExceeded,
                      Undecidable, ZetterbergError)
-from .gf import Field, FieldContext, FieldSpec, find_irreducible, make_field, make_field_for_q0
+from .gf import Field, FieldContext, find_irreducible, make_field, make_field_for_q0
 from .radius import (RadiusReport, covering_radius, covering_radius_oracle,
                      half_full_radius_equality_check, rho_criterion_even,
                      rho_criterion_odd, rho_shortcuts, witness_count_odd)

@@ -24,8 +24,6 @@ class Caps:
     scan_cap: int = 2**28
     # largest field order q the criterion scan will build tables for
     criterion_order_cap: int = 2**25
-    # discrete-log tables are only built for fields up to this order
-    table_cap: int = 2**24
     # weight-4 exhaustive search only for codes up to this length
     exhaustive_len_cap: int = 64
     # full-codeword enumeration only while q0**dimension stays below this
@@ -53,6 +51,8 @@ def load_caps(path: str | None = None) -> Caps:
             if key not in _FIELDS:
                 raise ValueError(f"unknown cap {key!r} in {path}")
             overrides[key] = int(value.strip(), 0)
+            if overrides[key] <= 0:
+                raise ValueError(f"cap {key} must be positive in {path}")
     return replace(caps, **overrides)
 
 

@@ -91,6 +91,11 @@ def classify(q0: int, s: int, variant: str, caps: Caps = DEFAULT_CAPS) -> Classi
             q0=q0, s=s, variant=variant, length=length, dimension=dimension,
             d=None, rho=None, perfect=None, quasi_perfect=None, maximal=None,
             rule=_regime(q0, s, variant))
+    # rho is the depth of F_{q^2} under the steps c*x, c in F_q0^*, x among
+    # the code's positions.  For the half code (odd q0) those steps are the
+    # full code's: xi^((q+1)/2) = -1, so c*xi^(i+(q+1)/2) = (-c)*xi^i.  Equal
+    # step sets give equal radii, so the full-code dispatcher answers for both
+    # (radius.half_full_radius_equality_check compares the two sets).
     rho = covering_radius(q0, s, "auto", caps).rho
     packing = (d - 1) // 2
     return ClassificationReport(

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: field, radius, mindist, thresholds, classify.  Exit codes:
-0 success, 1 internal inconsistency, 2 usage error, 3 cap exceeded,
-4 undecidable.  All output is deterministic; `radius --no-timing` drops the
-elapsed-time field so byte-identical reruns can be asserted.
+0 success, 1 internal error (a verify-mode disagreement, or any other fault
+of the program), 2 usage or config error, 3 cap exceeded, 4 undecidable.
+All output is deterministic; `radius --no-timing` drops the elapsed-time
+field so byte-identical reruns can be asserted.
 """
 
 from __future__ import annotations
@@ -112,6 +113,13 @@ def _cmd_classify(args, caps) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"{v} is not a positive integer")
+    return v
+
+
 def _prime_power(text: str) -> int:
     v = int(text)
     try:
@@ -129,16 +137,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_field = sub.add_parser("field", help="build and describe a field context")
-    p_field.add_argument("--p", type=int, required=True)
-    p_field.add_argument("--m", type=int, required=True)
-    p_field.add_argument("--s", type=int, required=True)
+    p_field.add_argument("--p", type=_positive_int, required=True)
+    p_field.add_argument("--m", type=_positive_int, required=True)
+    p_field.add_argument("--s", type=_positive_int, required=True)
     p_field.add_argument("--dump", action="store_true",
                          help="include modulus, generator and factorization")
     p_field.set_defaults(func=_cmd_field)
 
     p_rad = sub.add_parser("radius", help="covering radius")
     p_rad.add_argument("--q0", type=_prime_power, required=True)
-    p_rad.add_argument("--s", type=int, required=True)
+    p_rad.add_argument("--s", type=_positive_int, required=True)
     p_rad.add_argument("--method", default="auto",
                        choices=["auto", "oracle", "criterion", "shortcut", "verify"])
     p_rad.add_argument("--format", default="json", choices=["json", "csv", "markdown"])
@@ -148,16 +156,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_md = sub.add_parser("mindist", help="minimum distance")
     p_md.add_argument("--q0", type=_prime_power, required=True)
-    p_md.add_argument("--s", type=int, required=True)
+    p_md.add_argument("--s", type=_positive_int, required=True)
     p_md.add_argument("--variant", required=True, choices=["full", "half"])
     p_md.add_argument("--exhaustive", action="store_true",
                       help="also run the exhaustive search and compare")
-    p_md.add_argument("--max-weight", type=int, default=5)
+    p_md.add_argument("--max-weight", type=_positive_int, default=5)
     p_md.set_defaults(func=_cmd_mindist)
 
     p_th = sub.add_parser("thresholds", help="threshold tables")
     p_th.add_argument("--parity", required=True, choices=["odd", "even"])
-    p_th.add_argument("--q0-max", dest="q0_max", type=int, required=True)
+    p_th.add_argument("--q0-max", dest="q0_max", type=_positive_int, required=True)
     p_th.add_argument("--format", default="csv", choices=["csv", "json", "markdown"])
     p_th.set_defaults(func=_cmd_thresholds)
 
@@ -174,7 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    caps = load_caps()
+    try:
+        caps = load_caps()
+    except (OSError, ValueError) as e:
+        print(f"error: config: {e}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args, caps)
     except SizeCapExceeded as e:
@@ -186,9 +198,13 @@ def main(argv=None) -> int:
     except FormulaMismatch as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (PreconditionViolated, ValueError) as e:
+    except PreconditionViolated as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except (ValueError, ArithmeticError) as e:
+        # user input is validated by the parser, so this is a program fault
+        print(f"error: internal: {e}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

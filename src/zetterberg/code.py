@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .caps import Caps
 from .errors import PreconditionViolated, SizeCapExceeded
-from .gf import FieldContext
+from .gf import Field, FieldContext
 from . import charsum, tower
 
 
@@ -136,18 +136,9 @@ def _subfield_coord_map(code: ZetterbergCode):
             basis.append(ctx.mul(code.h_powers[j], gamma_pows[t]))
     # invert the n x n matrix whose columns are the basis digit vectors
     cols = [ctx.decode(b) for b in basis]
-    mat = [[cols[c][r] for c in range(n)] for r in range(n)]
-    aug = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] % p)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], p - 2, p)
-        aug[col] = [v * inv % p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[col])]
-    inv_rows = [row[n:] for row in aug]
+    aug = [[cols[c][r] for c in range(n)] + [int(i == r) for i in range(n)]
+           for r in range(n)]
+    inv_rows = [row[n:] for row in _rref(Field(p, 1), aug)[0]]
 
     def coords(x: int) -> tuple:
         digits = ctx.decode(x)
@@ -173,51 +164,46 @@ def parity_check_matrix(code: ZetterbergCode) -> list[list[int]]:
     return [[columns[i][r] for i in range(code.length)] for r in range(2 * code.ctx.s)]
 
 
-def matrix_rank(ctx: FieldContext, rows) -> int:
+def _rref(F: Field, rows) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over F by Gauss-Jordan elimination.
+
+    Returns the reduced rows and the pivot columns in order; row r < rank
+    has its leading 1 in column pivots[r], the rows after those are zero.
+    """
     rows = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
-    rank = 0
+    pivots: list[int] = []
     for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
         piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = ctx.inv(rows[rank][col])
-        rows[rank] = [ctx.mul(v, inv) for v in rows[rank]]
+        inv = F.inv(rows[rank][col])
+        rows[rank] = [F.mul(v, inv) for v in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
                 f = rows[r][col]
-                rows[r] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+                rows[r] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def matrix_rank(ctx: FieldContext, rows) -> int:
+    return len(_rref(ctx.field, rows)[1])
 
 
 def kernel_basis(code: ZetterbergCode) -> list[list[int]]:
     """Basis of the code (kernel of the parity-check matrix) over F_q0."""
     ctx = code.ctx
-    rows = [list(r) for r in parity_check_matrix(code)]
-    ncols = code.length
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = ctx.inv(rows[rank][col])
-        rows[rank] = [ctx.mul(v, inv) for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    rows, pivots = _rref(ctx.field, parity_check_matrix(code))
     basis = []
-    for fc in free:
-        vec = [0] * ncols
+    for fc in range(code.length):
+        if fc in pivots:
+            continue
+        vec = [0] * code.length
         vec[fc] = 1
         for r, pc in enumerate(pivots):
             vec[pc] = ctx.neg(rows[r][fc])

@@ -13,7 +13,6 @@ Arithmetic is exposed as methods of Field / FieldContext acting on codes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .caps import DEFAULT_CAPS, Caps
@@ -292,9 +291,6 @@ class Field:
             a = a * p + c
         return a
 
-    def elements(self):
-        return range(self.order)
-
     # -- arithmetic
 
     def add(self, a: int, b: int) -> int:
@@ -376,17 +372,6 @@ class Field:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
-
-    @property
-    def one(self) -> int:
-        return 1
-
-    @property
-    def minus_one(self) -> int:
-        return self.neg(1)
-
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
 
     # -- tower maps relative to a subfield F_{p^d}, d | k
 
@@ -488,15 +473,6 @@ class Field:
 # the ambient tower context
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    p: int
-    m: int
-    s: int
-    n: int
-    modulus: tuple[int, ...]
-
-
 class FieldContext:
     """F_{p^(2sm)} together with handles to F_q0, F_q and H.
 
@@ -526,7 +502,6 @@ class FieldContext:
         self.order = order
         self.caps = caps
         self.field = Field(p, n, find_irreducible(p, n, skip=modulus_skip))
-        self.spec = FieldSpec(p, m, s, n, self.field.modulus)
         self.g = self.field.generator
         self.factorization = self.field.order_factorization
         q, q0 = self.q, self.q0

@@ -6,8 +6,8 @@ criterion  -- the character/trace scans deciding rho in {2, 3} inside F_q,
               feasible far beyond the oracle.
 shortcuts  -- closed-form parameter rules (threshold inequalities et al.).
 
-The dispatcher runs them in that order of cheapness and, in verify mode, all
-feasible ones with an agreement check.
+The dispatcher tries them cheapest first (shortcuts, criterion, oracle) and,
+in verify mode, runs every feasible one with an agreement check.
 """
 
 from __future__ import annotations
@@ -58,26 +58,33 @@ class RadiusReport:
 # exhaustive BFS oracle
 
 
-def _oracle_layers(ctx: FieldContext, variant: str) -> np.ndarray:
-    n_pos = ctx.q + 1 if variant == "full" else (ctx.q + 1) // 2
+def _steps(ctx: FieldContext, n_pos: int) -> set[int]:
+    """{c * xi^i : c in F_q0^*, 0 <= i < n_pos}: the syndromes of weight-1
+    words on the first n_pos positions."""
     xi_pows = [1]
     for _ in range(n_pos - 1):
         xi_pows.append(ctx.mul(xi_pows[-1], ctx.xi))
     sub = [c for c in tower.subfield_elements(ctx, "q0") if c]
-    steps = {ctx.mul(c, h) for c in sub for h in xi_pows}
-    return covering_layers(BulkField(ctx.field), steps)
+    return {ctx.mul(c, h) for c in sub for h in xi_pows}
 
 
-def covering_radius_oracle(q0: int, s: int, caps: Caps = DEFAULT_CAPS,
-                           variant: str = "full") -> RadiusReport:
-    """Exact rho by breadth-first layering of the whole syndrome space."""
-    t0 = time.perf_counter()
-    p, m = prime_power_split(q0)
+def _oracle_layers(ctx: FieldContext) -> np.ndarray:
+    return covering_layers(BulkField(ctx.field), _steps(ctx, ctx.q + 1))
+
+
+def _check_oracle_cap(q0: int, s: int, caps: Caps):
     if q0 ** (2 * s) > caps.oracle_cap:
         raise SizeCapExceeded(
             f"q^2 = {q0 ** (2 * s)} exceeds oracle cap {caps.oracle_cap}")
+
+
+def covering_radius_oracle(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> RadiusReport:
+    """Exact rho by breadth-first layering of the whole syndrome space."""
+    t0 = time.perf_counter()
+    p, m = prime_power_split(q0)
+    _check_oracle_cap(q0, s, caps)
     ctx = make_field_for_q0(q0, s, caps=caps)
-    layer = _oracle_layers(ctx, variant)
+    layer = _oracle_layers(ctx)
     rho = int(layer.max())
     deepest = int(np.flatnonzero(layer == rho)[0])
     return RadiusReport(
@@ -88,15 +95,18 @@ def covering_radius_oracle(q0: int, s: int, caps: Caps = DEFAULT_CAPS,
 
 
 def half_full_radius_equality_check(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> bool:
-    """Oracle rho of the half code (restricted step positions) vs the full code."""
+    """Whether the half code's oracle steps are exactly the full code's.
+
+    The covering radius is the BFS depth of F_{q^2} under the code's steps,
+    so equal step sets give equal layers and equal radii.  For odd q0 they
+    are equal: xi^((q+1)/2) = -1 lies in F_q0^*, so every c * xi^(i + (q+1)/2)
+    is (-c) * xi^i with i < (q+1)/2.
+    """
     if q0 % 2 == 0:
         raise PreconditionViolated("half code requires odd q0")
-    if q0 ** (2 * s) > caps.oracle_cap:
-        raise SizeCapExceeded("q^2 exceeds oracle cap")
+    _check_oracle_cap(q0, s, caps)
     ctx = make_field_for_q0(q0, s, caps=caps)
-    full = int(_oracle_layers(ctx, "full").max())
-    half = int(_oracle_layers(ctx, "half").max())
-    return full == half
+    return _steps(ctx, (ctx.q + 1) // 2) == _steps(ctx, ctx.q + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -184,38 +194,6 @@ def _odd_scan(K: Field, q0: int, budget: _EvalBudget, count_all: bool):
     return first, count
 
 
-def rho_criterion_odd(q0: int, s: int, caps: Caps = DEFAULT_CAPS,
-                      modulus_skip: int = 0) -> RadiusReport:
-    """rho in {2,3} for odd q0, s >= 2, via the square-pattern scan over F_q."""
-    t0 = time.perf_counter()
-    if q0 % 2 == 0 or q0 < 3:
-        raise PreconditionViolated("odd q0 >= 3 required")
-    if s < 2:
-        raise PreconditionViolated("criterion applies for s >= 2")
-    K = _criterion_field(q0, s, caps, modulus_skip)
-    budget = _EvalBudget(caps.scan_cap)
-    witness, _ = _odd_scan(K, q0, budget, count_all=False)
-    rho = 3 if witness is not None else 2
-    return RadiusReport(
-        q0=q0, s=s, rho=rho, method="criterion",
-        witness=None if witness is None else list(K.decode(witness)),
-        witness_field={"p": K.p, "k": K.k, "modulus": list(K.modulus)},
-        elapsed_ms=(time.perf_counter() - t0) * 1e3)
-
-
-def witness_count_odd(q0: int, s: int, caps: Caps = DEFAULT_CAPS,
-                      modulus_skip: int = 0) -> int:
-    """Number of scan witnesses; positive exactly when rho = 3."""
-    if q0 % 2 == 0 or q0 < 3:
-        raise PreconditionViolated("odd q0 >= 3 required")
-    if s < 3 or s % 2 == 0:
-        raise PreconditionViolated("witness counting is stated for odd s >= 3")
-    K = _criterion_field(q0, s, caps, modulus_skip)
-    budget = _EvalBudget(caps.scan_cap)
-    _, count = _odd_scan(K, q0, budget, count_all=True)
-    return count
-
-
 def _even_scan(K: Field, q0: int, budget: _EvalBudget):
     """First alpha outside F_q0 with zero trace and all 1/(1+b*alpha) traces
     in {0, 1}, enumerated as ascending powers of the generator.
@@ -258,30 +236,61 @@ def _even_scan(K: Field, q0: int, budget: _EvalBudget):
     return None
 
 
-def rho_criterion_even(q0: int, s: int, caps: Caps = DEFAULT_CAPS,
-                       modulus_skip: int = 0) -> RadiusReport:
-    """rho in {2,3} for even q0, s >= 2, via the trace-pattern scan over F_q."""
-    t0 = time.perf_counter()
-    if q0 % 2 or q0 < 2:
+def _check_parity(q0: int, odd: bool):
+    if odd and (q0 % 2 == 0 or q0 < 3):
+        raise PreconditionViolated("odd q0 >= 3 required")
+    if not odd and (q0 % 2 or q0 < 2):
         raise PreconditionViolated("even q0 required")
+
+
+def _criterion_report(q0: int, s: int, caps: Caps, modulus_skip: int,
+                      odd: bool) -> RadiusReport:
+    """rho in {2,3} for s >= 2 from the parity's scan over F_q: 3 exactly
+    when the scan finds a witness."""
+    t0 = time.perf_counter()
+    _check_parity(q0, odd)
     if s < 2:
         raise PreconditionViolated("criterion applies for s >= 2")
     K = _criterion_field(q0, s, caps, modulus_skip)
     budget = _EvalBudget(caps.scan_cap)
-    witness = _even_scan(K, q0, budget)
-    rho = 3 if witness is not None else 2
+    if odd:
+        witness, _ = _odd_scan(K, q0, budget, count_all=False)
+    else:
+        witness = _even_scan(K, q0, budget)
     return RadiusReport(
-        q0=q0, s=s, rho=rho, method="criterion",
+        q0=q0, s=s, rho=3 if witness is not None else 2, method="criterion",
         witness=None if witness is None else list(K.decode(witness)),
         witness_field={"p": K.p, "k": K.k, "modulus": list(K.modulus)},
         elapsed_ms=(time.perf_counter() - t0) * 1e3)
 
 
+def rho_criterion_odd(q0: int, s: int, caps: Caps = DEFAULT_CAPS,
+                      modulus_skip: int = 0) -> RadiusReport:
+    """rho in {2,3} for odd q0, s >= 2, via the square-pattern scan over F_q."""
+    return _criterion_report(q0, s, caps, modulus_skip, odd=True)
+
+
+def rho_criterion_even(q0: int, s: int, caps: Caps = DEFAULT_CAPS,
+                       modulus_skip: int = 0) -> RadiusReport:
+    """rho in {2,3} for even q0, s >= 2, via the trace-pattern scan over F_q."""
+    return _criterion_report(q0, s, caps, modulus_skip, odd=False)
+
+
 def rho_criterion(q0: int, s: int, caps: Caps = DEFAULT_CAPS,
                   modulus_skip: int = 0) -> RadiusReport:
-    if q0 % 2 == 0:
-        return rho_criterion_even(q0, s, caps, modulus_skip)
-    return rho_criterion_odd(q0, s, caps, modulus_skip)
+    return _criterion_report(q0, s, caps, modulus_skip, odd=q0 % 2 == 1)
+
+
+def witness_count_odd(q0: int, s: int, caps: Caps = DEFAULT_CAPS,
+                      modulus_skip: int = 0) -> int:
+    """Number of scan witnesses; positive exactly when rho = 3."""
+    _check_parity(q0, odd=True)
+    if s < 3 or s % 2 == 0:
+        raise PreconditionViolated("witness counting is stated for odd s >= 3")
+    K = _criterion_field(q0, s, caps, modulus_skip)
+    budget = _EvalBudget(caps.scan_cap)
+    _, count = _odd_scan(K, q0, budget, count_all=True)
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -327,74 +336,59 @@ def rho_shortcuts(q0: int, s: int) -> tuple[int, str] | None:
 # dispatcher
 
 
+def _shortcut_report(q0: int, s: int, caps: Caps) -> RadiusReport:
+    t0 = time.perf_counter()
+    decided = rho_shortcuts(q0, s)
+    if decided is None:
+        raise Undecidable(f"no shortcut rule fires for (q0={q0}, s={s})")
+    rho, rule = decided
+    return RadiusReport(q0=q0, s=s, rho=rho, method=f"shortcut:{rule}",
+                        elapsed_ms=(time.perf_counter() - t0) * 1e3)
+
+
 def covering_radius(q0: int, s: int, strategy: str = "auto",
                     caps: Caps = DEFAULT_CAPS) -> RadiusReport:
     """rho(C_s(q0)) by the requested strategy.
 
-    auto: shortcuts, then criterion, then oracle; Undecidable when nothing
-    is feasible under the caps.  verify: run every feasible method and fail
-    on any disagreement, recording the cross-checks.
+    The route chain is shortcut, criterion (s >= 2), oracle, in order of
+    cheapness; a route declines with Undecidable (no rule fires) or
+    SizeCapExceeded (over a cap).  auto: the first route that decides.
+    verify: every route that decides, failing on any disagreement and
+    recording the cross-checks.  Either raises Undecidable when no route
+    decides.  shortcut, criterion and oracle run that one route.
     """
     t0 = time.perf_counter()
     prime_power_split(q0)
     if s < 1:
         raise PreconditionViolated("s must be >= 1")
-    if strategy == "oracle":
-        return covering_radius_oracle(q0, s, caps)
-    if strategy == "criterion":
-        return rho_criterion(q0, s, caps)
-    if strategy == "shortcut":
-        decided = rho_shortcuts(q0, s)
-        if decided is None:
-            raise Undecidable(f"no shortcut rule fires for (q0={q0}, s={s})")
-        rho, rule = decided
-        return RadiusReport(q0=q0, s=s, rho=rho, method=f"shortcut:{rule}",
-                            elapsed_ms=(time.perf_counter() - t0) * 1e3)
-    if strategy == "auto":
-        decided = rho_shortcuts(q0, s)
-        if decided is not None:
-            rho, rule = decided
-            return RadiusReport(q0=q0, s=s, rho=rho, method=f"shortcut:{rule}",
-                                elapsed_ms=(time.perf_counter() - t0) * 1e3)
+    # looked up at call time, so wrappers installed on the module take effect
+    routes = {"shortcut": _shortcut_report, "criterion": rho_criterion,
+              "oracle": covering_radius_oracle}
+    if strategy in routes:
+        return routes[strategy](q0, s, caps)
+    if strategy not in ("auto", "verify"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if s < 2:
+        del routes["criterion"]
+    reports: list[RadiusReport] = []
+    for route in routes.values():
         try:
-            if s >= 2:
-                return rho_criterion(q0, s, caps)
-        except SizeCapExceeded:
-            pass
-        try:
-            return covering_radius_oracle(q0, s, caps)
-        except SizeCapExceeded:
-            pass
+            reports.append(route(q0, s, caps))
+        except (Undecidable, SizeCapExceeded):
+            continue
+        if strategy == "auto":
+            return reports[0]
+    if not reports:
         raise Undecidable(
             f"(q0={q0}, s={s}) is outside every feasible method under current caps")
-    if strategy == "verify":
-        reports: list[RadiusReport] = []
-        decided = rho_shortcuts(q0, s)
-        if decided is not None:
-            rho, rule = decided
-            reports.append(RadiusReport(q0=q0, s=s, rho=rho,
-                                        method=f"shortcut:{rule}"))
-        if s >= 2:
-            try:
-                reports.append(rho_criterion(q0, s, caps))
-            except SizeCapExceeded:
-                pass
-        try:
-            reports.append(covering_radius_oracle(q0, s, caps))
-        except SizeCapExceeded:
-            pass
-        if not reports:
-            raise Undecidable(
-                f"(q0={q0}, s={s}) is outside every feasible method under current caps")
-        rhos = {r.rho for r in reports}
-        if len(rhos) != 1:
-            raise FormulaMismatch(
-                "methods disagree: " + ", ".join(f"{r.method}={r.rho}" for r in reports))
-        primary = reports[0]
-        return RadiusReport(
-            q0=q0, s=s, rho=primary.rho, method=primary.method,
-            witness=next((r.witness for r in reports if r.witness), None),
-            witness_field=next((r.witness_field for r in reports if r.witness), None),
-            cross_checks=[(r.method, r.rho) for r in reports],
-            elapsed_ms=(time.perf_counter() - t0) * 1e3)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    rhos = {r.rho for r in reports}
+    if len(rhos) != 1:
+        raise FormulaMismatch(
+            "methods disagree: " + ", ".join(f"{r.method}={r.rho}" for r in reports))
+    primary = reports[0]
+    return RadiusReport(
+        q0=q0, s=s, rho=primary.rho, method=primary.method,
+        witness=next((r.witness for r in reports if r.witness), None),
+        witness_field=next((r.witness_field for r in reports if r.witness), None),
+        cross_checks=[(r.method, r.rho) for r in reports],
+        elapsed_ms=(time.perf_counter() - t0) * 1e3)

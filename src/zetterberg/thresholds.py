@@ -85,17 +85,12 @@ def s_star_lower_even(q0: int) -> int | None:
     return half - 1 if half % 2 == 0 else half
 
 
-def _divisor_decided_three(q0: int, s: int, s_up: int) -> bool:
-    # rho = 3 propagates along odd divisors; a proper divisor s' of an s in
-    # the gap satisfies s' < s_up, so only the q0 = 3 blanket rule could fire
-    if q0 == 3:
-        return any(s % d == 0 for d in range(3, s, 2) if s % d == 0)
-    return any(s % d == 0 and d >= s_up for d in range(3, s, 2))
-
-
 def gap_set(q0: int) -> list[int]:
-    """Odd s with undetermined rho: strictly between the thresholds, minus
-    anything settled by divisor propagation from smaller decided exponents."""
+    """Odd s with undetermined rho: strictly between the thresholds.
+
+    Divisor propagation (rho = 3 at an odd divisor forces rho = 3) settles
+    none of them: every proper divisor of such an s lies below s_*, where no
+    rule gives rho = 3 (the q0 = 3 blanket rule is handled first)."""
     if q0 % 2 == 0:
         lower = s_star_lower_even(q0)
         upper = s_star_upper_even(q0)
@@ -105,8 +100,7 @@ def gap_set(q0: int) -> list[int]:
         lower = s_star_lower_odd(q0)
         upper = s_star_upper_odd(q0)
     low = lower if lower is not None else 1
-    return [s for s in range(low + 2, upper, 2)
-            if not _divisor_decided_three(q0, s, upper)]
+    return list(range(low + 2, upper, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from zetterberg.caps import ENV_CONFIG, Caps, load_caps
 def test_defaults():
     caps = load_caps()
     assert caps == Caps()
-    assert caps.oracle_cap == 2**20 and caps.table_cap == 2**24
+    assert caps.oracle_cap == 2**20
 
 
 def test_config_file_overrides(tmp_path, monkeypatch):
@@ -17,7 +17,7 @@ def test_config_file_overrides(tmp_path, monkeypatch):
     caps = load_caps()
     assert caps.oracle_cap == 65536
     assert caps.scan_cap == 1000000
-    assert caps.table_cap == Caps().table_cap  # untouched keys keep defaults
+    assert caps.criterion_order_cap == Caps().criterion_order_cap  # untouched keys keep defaults
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -31,3 +31,11 @@ def test_hex_values_allowed(tmp_path):
     cfg = tmp_path / "caps.conf"
     cfg.write_text("oracle_cap=0x100000\n")
     assert load_caps(str(cfg)).oracle_cap == 2**20
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "-0x10"])
+def test_non_positive_value_rejected(tmp_path, value):
+    cfg = tmp_path / "caps.conf"
+    cfg.write_text(f"scan_cap={value}\n")
+    with pytest.raises(ValueError):
+        load_caps(str(cfg))

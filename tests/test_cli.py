@@ -3,6 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from zetterberg import cli
+from zetterberg.caps import ENV_CONFIG
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -117,3 +120,32 @@ def test_cli_deterministic():
     assert run_cli(*args).stdout == run_cli(*args).stdout
     args = ("thresholds", "--parity", "even", "--q0-max", "64")
     assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+def test_field_rejects_zero_m():
+    r = run_cli("field", "--p", "2", "--m", "0", "--s", "1")
+    assert r.returncode == 2 and r.stdout == ""
+
+
+def test_radius_rejects_zero_s():
+    r = run_cli("radius", "--q0", "3", "--s", "0")
+    assert r.returncode == 2 and r.stdout == ""
+
+
+def test_bad_config_is_usage_error(tmp_path, monkeypatch):
+    for text in ("scan_cap=0\n", "no_such_cap=1\n", "oracle_cap=many\n"):
+        cfg = tmp_path / "caps.conf"
+        cfg.write_text(text)
+        monkeypatch.setenv(ENV_CONFIG, str(cfg))
+        assert cli.main(["thresholds", "--parity", "odd", "--q0-max", "5"]) == 2
+    monkeypatch.setenv(ENV_CONFIG, str(tmp_path / "missing.conf"))
+    r = run_cli("thresholds", "--parity", "odd", "--q0-max", "5")
+    assert r.returncode == 2 and r.stderr.startswith("error: config:")
+
+
+def test_internal_value_error_exits_one(monkeypatch, capsys):
+    def broken(*args):
+        raise ValueError("kernel fault")
+    monkeypatch.setattr(cli, "covering_radius", broken)
+    assert cli.main(["radius", "--q0", "3", "--s", "2"]) == 1
+    assert capsys.readouterr().err == "error: internal: kernel fault\n"

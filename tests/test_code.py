@@ -185,3 +185,20 @@ def test_codeword_json():
     blob = json.loads(json.dumps(C.codeword_to_json(code, w)))
     assert blob["q0"] == 5 and blob["variant"] == "half"
     assert len(blob["support"]) == 3 == len(blob["coeffs"])
+
+
+def test_subfield_coord_map_round_trip():
+    # x = sum_j a_j * xi^j with the returned coordinates a_j in F_q0
+    rng = random.Random(7)
+    for q0, s in [(3, 2), (4, 2), (9, 2)]:
+        ctx = make_field_for_q0(q0, s)
+        code = C.build_code(ctx, "full")
+        coords = C._subfield_coord_map(code)
+        subs = set(subfield_elements(ctx, "q0"))
+        for x in [0, 1] + [rng.randrange(ctx.order) for _ in range(30)]:
+            a = coords(x)
+            assert len(a) == 2 * s and set(a) <= subs
+            acc = 0
+            for j, aj in enumerate(a):
+                acc = ctx.add(acc, ctx.mul(aj, code.h_powers[j]))
+            assert acc == x

@@ -1,13 +1,18 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from zetterberg import _bulk
 from zetterberg import radius as R
 from zetterberg._bulk import BulkField, covering_layers
 from zetterberg.caps import Caps
-from zetterberg.errors import PreconditionViolated, SizeCapExceeded, Undecidable
+from zetterberg.errors import (PreconditionViolated, SizeCapExceeded, Undecidable,
+                               ZetterbergError)
 from zetterberg.gf import make_field_for_q0
 from zetterberg.tower import subfield_elements
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_oracle_known_small_values():
@@ -15,11 +20,12 @@ def test_oracle_known_small_values():
         assert R.covering_radius_oracle(q0, s).rho == expected
 
 
-def _pure_python_layers(ctx):
-    # independent re-derivation of the layering, set-based, no numpy
+def _pure_python_layers(ctx, n_pos=None):
+    # independent re-derivation of the layering, set-based, no numpy; steps
+    # c * xi^i on the first n_pos positions (all q + 1 by default)
     steps = set()
     xi_pows = [1]
-    for _ in range(ctx.q):
+    for _ in range((n_pos or ctx.q + 1) - 1):
         xi_pows.append(ctx.mul(xi_pows[-1], ctx.xi))
     for c in subfield_elements(ctx, "q0"):
         if not c:
@@ -53,7 +59,7 @@ def test_oracle_agrees_with_pure_python_bfs():
 
 def test_oracle_layers_constant_on_orbits():
     ctx = make_field_for_q0(3, 2)
-    layer = R._oracle_layers(ctx, "full")
+    layer = R._oracle_layers(ctx)
     scalars = [c for c in subfield_elements(ctx, "q0") if c]
     for v in range(ctx.order):
         assert layer[ctx.mul(v, ctx.xi)] == layer[v]
@@ -177,6 +183,42 @@ def test_half_full_equality():
         assert R.half_full_radius_equality_check(q0, s)
     with pytest.raises(PreconditionViolated):
         R.half_full_radius_equality_check(4, 2)
+
+
+def test_half_code_bfs_matches_full_oracle_layers():
+    # brute-force reference for the half code: a plain BFS over its own steps
+    # (positions i < (q+1)/2) gives the full-code oracle's layers everywhere
+    for q0, s in [(3, 2), (5, 2), (7, 2), (3, 3)]:
+        ctx = make_field_for_q0(q0, s)
+        _, layers = _pure_python_layers(ctx, (ctx.q + 1) // 2)
+        full = R._oracle_layers(ctx)
+        assert [layers[v] for v in range(ctx.order)] == [int(v) for v in full]
+
+
+def test_half_full_check_runs_no_bfs(monkeypatch):
+    def no_bfs(*args):
+        raise AssertionError("covering_layers called")
+    monkeypatch.setattr(R, "covering_layers", no_bfs)
+    monkeypatch.setattr(_bulk, "covering_layers", no_bfs)
+    for q0, s in [(3, 2), (7, 3), (13, 2)]:
+        assert R.half_full_radius_equality_check(q0, s)
+    with pytest.raises(SizeCapExceeded):
+        R.half_full_radius_equality_check(3, 7)  # q^2 = 3^14 over the cap
+
+
+def test_radius_reports_match_golden():
+    # to_json(timing=False) of every strategy, or the class of what it raised
+    out = {}
+    for q0, s in [(2, 2), (3, 2), (4, 3), (5, 2), (13, 3), (16, 9)]:
+        row = {}
+        for strategy in ["auto", "oracle", "criterion", "shortcut", "verify"]:
+            try:
+                row[strategy] = R.covering_radius(q0, s, strategy).to_json(timing=False)
+            except ZetterbergError as e:
+                row[strategy] = {"error": type(e).__name__}
+        out[f"{q0},{s}"] = row
+    text = json.dumps(out, indent=1, sort_keys=True) + "\n"
+    assert text == (GOLDEN / "radius_reports.json").read_text()
 
 
 def test_rho_bounds_for_s_at_least_two():
