@@ -206,8 +206,7 @@ def roots_in_H_count_odd(ctx: FieldContext, alpha: int, beta: int) -> int:
                     ctx.mul(ctx.encode([4 % ctx.p]), ctx.pow(alpha, ctx.q + 1)))
     if delta == 0:
         return 1
-    chi = 1 if ctx.pow(delta, (ctx.q - 1) // 2) == 1 else -1
-    return 1 - chi
+    return 1 - chi_field(ctx, delta, ctx.q)
 
 
 def artin_schreier_solvable(F: Field, a: int, b: int) -> bool:
@@ -294,7 +293,7 @@ def roots_in_H_even(ctx: FieldContext, alpha: int, beta: int) -> tuple[int, int]
         return None
     # substitute X = (beta/alpha)*Z: Z^2 + Z = alpha^(q+1)/beta^2
     c = ctx.div(ctx.pow(alpha, ctx.q + 1), ctx.mul(beta, beta))
-    z = solve_artin_schreier(ctx.field, c)
+    z = solve_artin_schreier(ctx, c)
     assert z is not None
     scale = ctx.div(beta, alpha)
     r1 = ctx.mul(scale, z)
@@ -307,30 +306,26 @@ def roots_in_H_even(ctx: FieldContext, alpha: int, beta: int) -> tuple[int, int]
 # the quartic non-square pair of the weight-3 construction
 
 
-def _quartic_pair_scan(elements, banned, one, add, sub, mul, chi):
-    for c1 in elements:
-        if c1 in banned:
-            continue
-        for c2 in elements:
-            if c2 in banned:
-                continue
-            sum_, diff = add(c1, c2), sub(c1, c2)
-            v = mul(mul(add(sum_, one), sub(sum_, one)),
-                    mul(add(diff, one), sub(diff, one)))
-            if chi(v) == -1:
-                return c1, c2
-    return None
-
-
-def _quartic_pair(elements, zero, one, minus_one, add, sub, mul, chi):
+def _quartic_pair_scan(F: Field, elements, sub_order: int) -> tuple[int, int]:
+    # elements: the subfield of F of order sub_order, in scan order
+    minus_one = F.neg(1)
     # Prefer pairs avoiding {0, +-1}; for q0 = 5 that set is empty of
     # solutions (every such pair makes the quartic vanish), so fall back to
     # the plain nonzero form, which always succeeds and still yields a valid
     # weight-3 construction.
-    pair = _quartic_pair_scan(elements, {zero, one, minus_one}, one, add, sub, mul, chi)
-    if pair is None:
-        pair = _quartic_pair_scan(elements, {zero}, one, add, sub, mul, chi)
-    return pair
+    for banned in ({0, 1, minus_one}, {0}):
+        for c1 in elements:
+            if c1 in banned:
+                continue
+            for c2 in elements:
+                if c2 in banned:
+                    continue
+                sum_, diff = F.add(c1, c2), F.sub(c1, c2)
+                v = F.mul(F.mul(F.add(sum_, 1), F.sub(sum_, 1)),
+                          F.mul(F.add(diff, 1), F.sub(diff, 1)))
+                if chi_field(F, v, sub_order) == -1:
+                    return c1, c2
+    raise ArithmeticError("no quartic non-square pair found")  # unreachable
 
 
 def find_nonsquare_quartic_pair(F: Field) -> tuple[int, int]:
@@ -340,28 +335,14 @@ def find_nonsquare_quartic_pair(F: Field) -> tuple[int, int]:
     """
     if F.p == 2 or F.order < 5:
         raise PreconditionViolated("odd q0 >= 5 required")
-    pair = _quartic_pair(range(F.order), 0, 1, F.neg(1), F.add, F.sub, F.mul,
-                         lambda v: chi_field(F, v))
-    if pair is None:
-        raise ArithmeticError("no quartic non-square pair found")  # unreachable
-    return pair
+    return _quartic_pair_scan(F, range(F.order), F.order)
 
 
 def find_nonsquare_quartic_pair_in_context(ctx: FieldContext) -> tuple[int, int]:
     """Same scan over the F_q0 subfield of an ambient context (codes ascending)."""
     if ctx.p == 2 or ctx.q0 < 5:
         raise PreconditionViolated("odd q0 >= 5 required")
-    els = ctx.field.subfield_elements(ctx.m)
-
-    def chi(v):
-        if v == 0:
-            return 0
-        return 1 if ctx.pow(v, (ctx.q0 - 1) // 2) == 1 else -1
-
-    pair = _quartic_pair(els, 0, 1, ctx.neg(1), ctx.add, ctx.sub, ctx.mul, chi)
-    if pair is None:
-        raise ArithmeticError("no quartic non-square pair found")  # unreachable
-    return pair
+    return _quartic_pair_scan(ctx, ctx.subfield_elements(ctx.m), ctx.q0)
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,8 @@ def _cmd_field(args, caps) -> int:
         },
     }
     if args.dump:
-        out["modulus"] = list(ctx.field.modulus)
-        out["generator"] = list(ctx.decode(ctx.g))
-        out["order_factorization"] = [[p, e] for p, e in ctx.factorization]
+        out.update(ctx.to_json())
+        out["order_factorization"] = [[p, e] for p, e in ctx.order_factorization]
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK
 

@@ -125,8 +125,8 @@ def _subfield_coord_map(code: ZetterbergCode):
     generates F_q0 over F_p.
     """
     ctx = code.ctx
-    p, n, m, s = ctx.p, ctx.n, ctx.m, ctx.s
-    gamma = ctx.pow(ctx.g, (ctx.order - 1) // (ctx.q0 - 1)) if ctx.q0 > 2 else 1
+    p, n, m, s = ctx.p, ctx.k, ctx.m, ctx.s
+    gamma = ctx.pow(ctx.generator, (ctx.order - 1) // (ctx.q0 - 1)) if ctx.q0 > 2 else 1
     gamma_pows = [1]
     for _ in range(m - 1):
         gamma_pows.append(ctx.mul(gamma_pows[-1], gamma))
@@ -192,13 +192,13 @@ def _rref(F: Field, rows) -> tuple[list[list[int]], list[int]]:
 
 
 def matrix_rank(ctx: FieldContext, rows) -> int:
-    return len(_rref(ctx.field, rows)[1])
+    return len(_rref(ctx, rows)[1])
 
 
 def kernel_basis(code: ZetterbergCode) -> list[list[int]]:
     """Basis of the code (kernel of the parity-check matrix) over F_q0."""
     ctx = code.ctx
-    rows, pivots = _rref(ctx.field, parity_check_matrix(code))
+    rows, pivots = _rref(ctx, parity_check_matrix(code))
     basis = []
     for fc in range(code.length):
         if fc in pivots:
@@ -234,15 +234,11 @@ def min_distance_formula(q0: int, s: int, variant: str) -> int | None:
     raise ValueError("variant must be 'full' or 'half'")
 
 
-def _in_q0_star(ctx: FieldContext, x: int) -> bool:
-    return x != 0 and ctx.pow(x, ctx.q0 - 1) == 1
-
-
 def weight2_word(code: ZetterbergCode) -> list | None:
     """A weight-2 codeword or None; O(length) scan over position gaps."""
     ctx = code.ctx
     for t in range(1, code.length):
-        if _in_q0_star(ctx, code.positions[t]):
+        if tower.in_subgroup(ctx, code.positions[t], "Fq0_star"):
             word = [0] * code.length
             word[0] = 1
             word[t] = ctx.neg(ctx.inv(code.positions[t]))
@@ -270,12 +266,13 @@ def weight3_word(code: ZetterbergCode) -> list | None:
             mz = ctx.neg(z)
             if not tower.in_scaled_H(ctx, mz):
                 continue
-            if _in_q0_star(ctx, mz) or _in_q0_star(ctx, ctx.mul(mz, xu_inv)):
+            if (tower.in_subgroup(ctx, mz, "Fq0_star")
+                    or tower.in_subgroup(ctx, ctx.mul(mz, xu_inv), "Fq0_star")):
                 continue  # third position would collide with 0 or u
             # locate the third position and coefficient: b*xi^v = -z
             for v in range(code.ctx.q + 1):
                 b = ctx.mul(mz, ctx.inv(code.h_powers[v]))
-                if _in_q0_star(ctx, b):
+                if tower.in_subgroup(ctx, b, "Fq0_star"):
                     if v >= code.length:  # wrap into the half range: xi^L = -1
                         v -= code.length
                         b = ctx.neg(b)
@@ -397,7 +394,7 @@ def weight3_witness_even(code: ZetterbergCode) -> list:
     denom2 = ctx.mul(denom, denom)
     a = ctx.div(ctx.mul(ti, ctx.pow(ctx.add(tj, 1), 2)), denom2)
     b = ctx.div(ctx.mul(tj, ctx.pow(ctx.add(ti, 1), 2)), denom2)
-    assert _in_q0_star(ctx, a) and _in_q0_star(ctx, b)
+    assert tower.in_subgroup(ctx, a, "Fq0_star") and tower.in_subgroup(ctx, b, "Fq0_star")
     word = [0] * code.length
     word[0] = 1
     word[i * step] = a
@@ -428,7 +425,7 @@ def weight3_witness_half_odd(code: ZetterbergCode) -> list:
                     ctx.mul(ctx.add(diff, 1), ctx.sub(diff, 1)))
     # nonsquare in F_q0, hence (s odd) nonsquare in F_q, but a square in F_{q^2}
     assert ctx.pow(delta, (ctx.q - 1) // 2) == ctx.neg(1)
-    sd = ctx.field.sqrt(delta)
+    sd = ctx.sqrt(delta)
     c1sq, c2sq = ctx.mul(c1, c1), ctx.mul(c2, c2)
     two = ctx.encode([2 % ctx.p])
     zeta1 = ctx.div(ctx.add(ctx.sub(ctx.sub(c2sq, c1sq), 1), sd), ctx.mul(two, c1))

@@ -7,7 +7,9 @@ multiplicative group; no embedding maps are ever needed.
 
 Field elements are plain integers: the code of an element with coefficient
 vector (c_0, ..., c_{k-1}) in the polynomial basis is sum(c_i * p**i).
-Arithmetic is exposed as methods of Field / FieldContext acting on codes.
+Arithmetic is exposed as methods of Field acting on codes.  A FieldContext
+is the ambient field: a Field subclass that adds the tower data (q0, q, the
+subgroup exponents and xi), so every Field method applies to it directly.
 """
 
 from __future__ import annotations
@@ -417,6 +419,17 @@ class Field:
                 return z
         raise ArithmeticError("no generator found")  # unreachable
 
+    def cyclic_subgroup(self, e: int) -> list[int]:
+        """The subgroup <g^e> as consecutive powers 1, g^e, g^(2e), ...
+        of g^e, where g is the generator."""
+        gen = self.pow(self.generator, e)
+        out = [1]
+        x = gen
+        while x != 1:
+            out.append(x)
+            x = self.mul(x, gen)
+        return out
+
     def subfield_elements(self, d: int) -> list[int]:
         """Sorted codes of the subfield of order p^d (d | k)."""
         if self.k % d:
@@ -424,13 +437,7 @@ class Field:
         sub_order = self.p**d
         if sub_order == self.order:
             return list(range(self.order))
-        e = (self.order - 1) // (sub_order - 1)
-        gamma = self.pow(self.generator, e)
-        els = [0, 1]
-        x = gamma
-        while x != 1:
-            els.append(x)
-            x = self.mul(x, gamma)
+        els = [0] + self.cyclic_subgroup((self.order - 1) // (sub_order - 1))
         if len(els) != sub_order:
             raise ArithmeticError("subfield enumeration failed")
         return sorted(els)
@@ -473,11 +480,13 @@ class Field:
 # the ambient tower context
 
 
-class FieldContext:
-    """F_{p^(2sm)} together with handles to F_q0, F_q and H.
+class FieldContext(Field):
+    """The ambient field F_{p^(2sm)}, with handles to F_q0, F_q and H.
 
-    q0 = p^m, q = q0^s.  The fixed generator g of the ambient multiplicative
-    group pins down every subgroup: H = <g^(q-1)> (order q+1),
+    A context is the ambient Field itself: arithmetic, the generator g and
+    the subfield enumeration are inherited, and the context adds the tower
+    data.  q0 = p^m, q = q0^s.  The fixed generator g of the ambient
+    multiplicative group pins down every subgroup: H = <g^(q-1)> (order q+1),
     F_q^* = <g^(q+1)> (order q-1), F_q0^* = <g^((q^2-1)/(q0-1))>.
     Immutable after construction; safe to share across threads.
     """
@@ -493,74 +502,30 @@ class FieldContext:
         if order > caps.max_ambient_order:
             raise SizeCapExceeded(
                 f"ambient order p^(2sm) = {order} exceeds cap {caps.max_ambient_order}")
-        self.p = p
+        super().__init__(p, n, find_irreducible(p, n, skip=modulus_skip))
         self.m = m
         self.s = s
-        self.n = n
         self.q0 = p**m
         self.q = self.q0**s
-        self.order = order
         self.caps = caps
-        self.field = Field(p, n, find_irreducible(p, n, skip=modulus_skip))
-        self.g = self.field.generator
-        self.factorization = self.field.order_factorization
         q, q0 = self.q, self.q0
         self.subgroup_exponents = {
             "H": q - 1,
             "Fq_star": q + 1,
             "Fq0_star": (q * q - 1) // (q0 - 1),
         }
-        self.xi = self.field.pow(self.g, q - 1)
+        self.xi = self.pow(self.generator, q - 1)
 
     def subgroup_order(self, tag: str) -> int:
         return (self.order - 1) // self.subgroup_exponents[tag]
-
-    # arithmetic passthroughs, so most callers only carry the context
-    def add(self, a, b):
-        return self.field.add(a, b)
-
-    def sub(self, a, b):
-        return self.field.sub(a, b)
-
-    def neg(self, a):
-        return self.field.neg(a)
-
-    def mul(self, a, b):
-        return self.field.mul(a, b)
-
-    def inv(self, a):
-        return self.field.inv(a)
-
-    def div(self, a, b):
-        return self.field.div(a, b)
-
-    def pow(self, a, e):
-        return self.field.pow(a, e)
-
-    def decode(self, a):
-        return self.field.decode(a)
-
-    def encode(self, coeffs):
-        return self.field.encode(coeffs)
-
-    def frobenius(self, a: int, level: str) -> int:
-        """a^q0 or a^q; conjugate(x) = frobenius(x, 'q')."""
-        if level == "q0":
-            return self.field.pow(a, self.q0)
-        if level == "q":
-            return self.field.pow(a, self.q)
-        raise ValueError("level must be 'q0' or 'q'")
-
-    def conjugate(self, a: int) -> int:
-        return self.field.pow(a, self.q)
 
     def to_json(self) -> dict:
         return {
             "p": self.p,
             "m": self.m,
             "s": self.s,
-            "modulus": list(self.field.modulus),
-            "generator": list(self.field.decode(self.g)),
+            "modulus": list(self.modulus),
+            "generator": list(self.decode(self.generator)),
         }
 
     def __repr__(self):

@@ -69,7 +69,7 @@ def _steps(ctx: FieldContext, n_pos: int) -> set[int]:
 
 
 def _oracle_layers(ctx: FieldContext) -> np.ndarray:
-    return covering_layers(BulkField(ctx.field), _steps(ctx, ctx.q + 1))
+    return covering_layers(BulkField(ctx), _steps(ctx, ctx.q + 1))
 
 
 def _check_oracle_cap(q0: int, s: int, caps: Caps):
@@ -90,7 +90,7 @@ def covering_radius_oracle(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> Radius
     return RadiusReport(
         q0=q0, s=s, rho=rho, method="oracle",
         witness=list(ctx.decode(deepest)),
-        witness_field={"p": p, "k": ctx.n, "modulus": list(ctx.field.modulus)},
+        witness_field={"p": p, "k": ctx.k, "modulus": list(ctx.modulus)},
         elapsed_ms=(time.perf_counter() - t0) * 1e3)
 
 
@@ -152,16 +152,10 @@ def _odd_scan(K: Field, q0: int, budget: _EvalBudget, count_all: bool):
     that prefix holds no witness (at once when counting), and the scan goes
     on from the end of the prefix by table lookup.
     """
-    p = K.p
-    m = 0
-    t = q0
-    while t > 1:
-        t //= p
-        m += 1
-    sub = K.subfield_elements(m)
-    squares = sorted({K.mul(c, c) for c in sub if c})
-    sq_arr = np.array(squares, dtype=np.int64)
     n1 = K.order - 1
+    # the nonzero squares of F_q0 are the subgroup of order (q0-1)/2
+    squares = sorted(K.cyclic_subgroup(2 * n1 // (q0 - 1)))
+    sq_arr = np.array(squares, dtype=np.int64)
     lazy = 0 if count_all else n1 >> 8
     bf = BulkField(K)
     exp = bf.build_exp(lazy) if lazy else None

@@ -13,7 +13,7 @@ from .gf import Field, FieldContext
 def level_degree(ctx: FieldContext, level: str) -> int:
     """Degree over F_p of the named level."""
     if level == "q2":
-        return ctx.n
+        return ctx.k
     if level == "q":
         return ctx.s * ctx.m
     if level == "q0":
@@ -70,21 +70,18 @@ def quadratic_character(ctx: FieldContext, x: int, level: str) -> int:
         return 0
     if not in_level(ctx, x, level):
         raise PreconditionViolated(f"element not in level {level}")
-    t = ctx.pow(x, (level_order(ctx, level) - 1) // 2)
-    if t == 1:
-        return 1
-    if t == ctx.neg(1):
-        return -1
-    raise ArithmeticError("character value outside {1,-1}")  # unreachable
+    return chi_field(ctx, x, level_order(ctx, level))
 
 
-def chi_field(F: Field, x: int) -> int:
-    """Quadratic character of a standalone odd-order field."""
+def chi_field(F: Field, x: int, order: int | None = None) -> int:
+    """Quadratic character of the subfield of F of the given order (all of F
+    by default), by Euler's criterion; x must lie in that subfield, which is
+    not checked."""
     if F.p == 2:
         raise PreconditionViolated("quadratic character needs odd characteristic")
     if x == 0:
         return 0
-    t = F.pow(x, (F.order - 1) // 2)
+    t = F.pow(x, ((order or F.order) - 1) // 2)
     return 1 if t == 1 else -1
 
 
@@ -97,26 +94,12 @@ def in_subgroup(ctx: FieldContext, x: int, tag: str) -> bool:
 
 def subgroup_elements(ctx: FieldContext, tag: str) -> list[int]:
     """All subgroup element codes, as consecutive powers of its generator."""
-    gen = ctx.pow(ctx.g, ctx.subgroup_exponents[tag])
-    out = [1]
-    x = gen
-    while x != 1:
-        out.append(x)
-        x = ctx.mul(x, gen)
-    return out
+    return ctx.cyclic_subgroup(ctx.subgroup_exponents[tag])
 
 
 def subfield_elements(ctx: FieldContext, level: str) -> list[int]:
     """Sorted codes of the named subfield (canonical element order)."""
-    return ctx.field.subfield_elements(level_degree(ctx, level))
-
-
-def squares_q0(ctx: FieldContext) -> list[int]:
-    """Sorted nonzero squares of F_q0 (odd characteristic)."""
-    if ctx.p == 2:
-        raise PreconditionViolated("squares of F_q0 need odd characteristic")
-    sq = {ctx.mul(c, c) for c in subfield_elements(ctx, "q0") if c != 0}
-    return sorted(sq)
+    return ctx.subfield_elements(level_degree(ctx, level))
 
 
 def in_scaled_H(ctx: FieldContext, y: int) -> bool:

@@ -28,6 +28,15 @@ def test_field_dump_has_modulus():
     assert len(data["modulus"]) == 5 and data["modulus"][-1] == 1
 
 
+def test_field_dump_matches_golden():
+    # one stdout line per (p, m, s), in the order below
+    expected = (GOLDEN / "field_dump.txt").read_text().splitlines(keepends=True)
+    for (p, m, s), line in zip([(3, 1, 2), (2, 2, 3), (5, 1, 2)], expected, strict=True):
+        r = run_cli("field", "--p", str(p), "--m", str(m), "--s", str(s), "--dump")
+        assert r.returncode == 0
+        assert r.stdout == line
+
+
 def test_field_rejects_composite_p():
     r = run_cli("field", "--p", "4", "--m", "1", "--s", "1")
     assert r.returncode == 2

@@ -51,7 +51,7 @@ def test_oracle_agrees_with_pure_python_bfs():
         ctx = make_field_for_q0(q0, s)
         steps, layers = _pure_python_layers(ctx)
         assert max(layers.values()) == expected
-        layer_arr = covering_layers(BulkField(ctx.field), steps)
+        layer_arr = covering_layers(BulkField(ctx), steps)
         assert int(layer_arr.max()) == expected
         for v, lv in layers.items():
             assert layer_arr[v] == lv

@@ -103,7 +103,7 @@ def test_quadratic_character_rejects_char2():
 def test_base_squares_stay_squares_for_odd_s():
     # odd s: squares of F_q0 remain squares of F_q
     ctx = make_field(3, 1, 3)
-    for b in tower.squares_q0(ctx):
+    for b in {ctx.mul(c, c) for c in tower.subfield_elements(ctx, "q0") if c}:
         assert tower.quadratic_character(ctx, b, "q") == 1
 
 
