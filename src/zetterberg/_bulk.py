@@ -1,9 +1,13 @@
-"""Vectorized kernels (numpy) for the syndrome BFS and criterion scans.
+"""Vectorized kernels (numpy) for the criterion scans and the class oracle.
 
 Everything here reproduces the scalar Field semantics exactly; numpy is used
 only to process many field elements per call.  Element codes travel as int64
 arrays; digit matrices use exact small-integer arithmetic (float matmuls stay
 below the mantissa limit of their dtype, so they are exact too).
+
+`covering_layers`, a plain BFS over a whole additive group, is not on any
+production path: the tests use it as the element-level reference for the
+oracle, which works on norm classes instead (`radius`).
 """
 
 from __future__ import annotations
@@ -116,6 +120,10 @@ class BulkField:
         """a*b elementwise; a length-1 array broadcasts."""
         return self._codes(self._mul(self._digits(a), self._digits(b)))
 
+    def frobenius(self, codes: np.ndarray, e: int) -> np.ndarray:
+        """y^(p^e) elementwise."""
+        return self._codes(self._frobenius(self._digits(codes), e))
+
     def inverse(self, codes: np.ndarray) -> np.ndarray:
         """y^(q-2) in characteristic 2: 1/y, and 0 for y = 0.
 
@@ -191,18 +199,21 @@ class BulkField:
 
     # -- group enumeration and character tables
 
-    def build_exp(self, n: int | None = None) -> np.ndarray:
-        """exp[j] = code of g^j for 0 <= j < n (default order-1), by doubling."""
-        n1 = self.order - 1 if n is None else n
-        exp = np.empty(n1, dtype=np.int64)
-        exp[:1] = 1
+    def powers(self, base: int, n: int) -> np.ndarray:
+        """Codes of base^j for 0 <= j < n, by doubling."""
+        out = np.empty(n, dtype=np.int64)
+        out[:1] = 1
         filled = 1
-        while filled < n1:
-            c = self.F.pow(self.F.generator, filled)
-            span = min(filled, n1 - filled)
-            exp[filled:filled + span] = self.mul_const(exp[:span], c)
+        while filled < n:
+            c = self.F.pow(base, filled)
+            span = min(filled, n - filled)
+            out[filled:filled + span] = self.mul_const(out[:span], c)
             filled += span
-        return exp
+        return out
+
+    def build_exp(self, n: int | None = None) -> np.ndarray:
+        """exp[j] = code of g^j for 0 <= j < n (default order-1)."""
+        return self.powers(self.F.generator, self.order - 1 if n is None else n)
 
     def build_chi_table(self, exp: np.ndarray) -> np.ndarray:
         """chi[code] in {-1, 0, +1} for the quadratic character (odd p)."""
@@ -240,14 +251,17 @@ class BulkField:
 def covering_layers(bf: BulkField, steps) -> np.ndarray:
     """layer[v] = least number of terms from `steps` summing to v.
 
-    Plain BFS over the additive group, with direction-optimized expansion
-    (top-down from small frontiers, bottom-up into small unvisited sets);
-    both directions assign identical layers because the step set is
+    The plain-BFS reference that the tests hold the class oracle to: every
+    element of the additive group is visited, so it costs O(|F| * |steps|)
+    digit operations and stays out of production.  Direction-optimized
+    expansion (top-down from small frontiers, bottom-up into small unvisited
+    sets); both directions assign identical layers because the step set is
     symmetric (verified here).
     """
     F = bf.F
-    step_list = sorted(set(int(s) for s in steps))
-    if any(F.neg(s) not in set(step_list) for s in step_list):
+    step_set = set(int(s) for s in steps)
+    step_list = sorted(step_set)
+    if any(F.neg(s) not in step_set for s in step_list):
         raise ValueError("step set must be symmetric under negation")
     order = bf.order
     layer = np.full(order, 0xFF, dtype=np.uint8)

@@ -18,7 +18,8 @@ ENV_CONFIG = "ZETTERBERG_CONFIG"
 class Caps:
     # largest ambient field order p**(2*s*m) a FieldContext may be built for
     max_ambient_order: int = 2**32
-    # largest syndrome space q**2 the covering-radius BFS will sweep
+    # largest syndrome space q**2 the covering-radius oracle will layer (its
+    # BFS runs over norm classes, on tables of size O(q))
     oracle_cap: int = 2**20
     # character-evaluation budget for a criterion scan (counted as consumed)
     scan_cap: int = 2**28

@@ -2,6 +2,10 @@
 
 oracle     -- exact BFS layering of the syndrome space F_{q^2} under single
               steps c*x (c in F_q0^*, x in H); ground truth at desk scale.
+              The steps form a multiplicative group G, so every layer is a
+              union of cosets of G; the BFS runs over the r = [F_{q^2}^* : G]
+              cosets, which are told apart by the norm to F_q, and works in
+              F_q only, with tables of size O(q).
 criterion  -- the character/trace scans deciding rho in {2, 3} inside F_q,
               feasible far beyond the oracle.
 shortcuts  -- closed-form parameter rules (threshold inequalities et al.).
@@ -12,12 +16,13 @@ in verify mode, runs every feasible one with an agreement check.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._bulk import BulkField, covering_layers
+from ._bulk import BulkField
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (FormulaMismatch, PreconditionViolated, SizeCapExceeded,
                      Undecidable)
@@ -55,21 +60,125 @@ class RadiusReport:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive BFS oracle
+# exact oracle: BFS over the norm classes of F_{q^2}
+
+_GRID_BLOCK = 1 << 16  # (norm, trace) pairs per edge block
 
 
-def _steps(ctx: FieldContext, n_pos: int) -> set[int]:
-    """{c * xi^i : c in F_q0^*, 0 <= i < n_pos}: the syndromes of weight-1
-    words on the first n_pos positions."""
-    xi_pows = [1]
-    for _ in range(n_pos - 1):
-        xi_pows.append(ctx.mul(xi_pows[-1], ctx.xi))
-    sub = [c for c in tower.subfield_elements(ctx, "q0") if c]
-    return {ctx.mul(c, h) for c in sub for h in xi_pows}
+class _NormClasses:
+    """The cosets of the step group G = F_q0^* * H in F_{q^2}^*, and F_q^*
+    in discrete-log form.
+
+    G is the subgroup <g^r> with r = (q-1) * gcd(2, q0-1) / (q0-1), so the
+    coset ("class") of y is log_g(y) mod r, which equals log_gamma N(y) mod r
+    for the norm N(y) = y^(q+1) and gamma = g^(q+1).  Elements of F_q are
+    handled by their gamma-logs 0 <= j < Q = q-1, with Q standing for 0.
+    """
+
+    def __init__(self, ctx: FieldContext):
+        self.ctx = ctx
+        self.bf = BulkField(ctx)
+        self.Q = ctx.q - 1
+        self.r = self.Q * math.gcd(2, ctx.q0 - 1) // (ctx.q0 - 1)
+        exp = self.bf.powers(ctx.pow(ctx.generator, ctx.q + 1), self.Q)
+        self._order = np.argsort(exp)
+        self._sorted = exp[self._order]
+        # Zech logs: zech[j] = log(1 + gamma^j), zech[Q] = log(1 + 0) = 0
+        self.zech = np.append(self.log(self.bf.add_const(exp, 1)), 0)
+        if ctx.p == 2:
+            # Tr_{F_q/F_2} is 0 exactly on the image of u -> u^2 + u = u(1 + u)
+            j = np.arange(1, self.Q)
+            self.trace_one = np.ones(self.Q, dtype=bool)
+            self.trace_one[(j + self.zech[j]) % self.Q] = False
+        else:
+            self.log_minus_4 = int(self.log(np.array([(-4) % ctx.p]))[0])
+
+    def log(self, codes: np.ndarray) -> np.ndarray:
+        """gamma-logs of codes in F_q (Q for 0)."""
+        i = np.searchsorted(self._sorted, codes).clip(max=self.Q - 1)
+        return np.where(self._sorted[i] == codes, self._order[i], self.Q)
+
+    def of(self, codes: np.ndarray) -> np.ndarray:
+        """Classes of nonzero ambient codes, from their norms y^q * y."""
+        k = self.ctx.k
+        return self.log(self.bf.mul(self.bf.frobenius(codes, k // 2), codes)) % self.r
+
+    def edges(self, rows: np.ndarray) -> np.ndarray:
+        """out[i, j]: the class of 1 + z over the z with N(z) = gamma^rows[i]
+        and Tr(z) = gamma^j (j = Q: Tr(z) = 0); -1 where no such z exists
+        or 1 + z = 0.
+
+        N(1 + z) = 1 + t + n for t = Tr(z), n = N(z), and z exists exactly
+        when X^2 - t*X + n has no two distinct roots in F_q.
+        """
+        Q, zech = self.Q, self.zech
+        a = rows[:, None]
+        b = np.arange(Q + 1)[None, :]
+        t_zero = b == Q
+        # log(t + n) = a + log(1 + t/n), then log(1 + t + n)
+        w = zech[np.where(t_zero, Q, (b - a) % Q)]
+        target = zech[np.where(w == Q, Q, (a + w) % Q)]
+        if self.ctx.p == 2:
+            # t = 0, or Tr(n/t^2) = 1
+            ok = t_zero | self.trace_one[(a - 2 * b) % Q]
+        else:
+            # t^2 - 4n = -4n * (1 + t^2/(-4n)) is 0 or a nonsquare (odd log)
+            m4 = self.log_minus_4
+            u = zech[np.where(t_zero, Q, (2 * b - a - m4) % Q)]
+            ok = (u == Q) | ((a + m4 + u) % 2 == 1)
+        return np.where(ok & (target != Q), target % self.r, -1)
 
 
-def _oracle_layers(ctx: FieldContext) -> np.ndarray:
-    return covering_layers(BulkField(ctx), _steps(ctx, ctx.q + 1))
+def _class_layers(nc: _NormClasses) -> np.ndarray:
+    """layer[i] = BFS depth of class i: {0} is depth 0, G (class 0) depth 1.
+
+    The class graph joins class(n) to class(1 + z) for the z of each
+    norm n; it is symmetric because G = -G.  A level expands the rows
+    (norm logs) of the previous level's classes, block by block, and stops
+    early once every class is reached.
+    """
+    Q, r = nc.Q, nc.r
+    layer = np.zeros(r, dtype=np.int64)  # 0: not reached yet
+    layer[0] = 1
+    row_class = np.arange(Q) % r
+    block = max(1, _GRID_BLOCK // (Q + 1))
+    level = 1
+    while not layer.all():
+        level += 1
+        rows = np.flatnonzero(layer[row_class] == level - 1)
+        hit = layer > 0
+        for i in range(0, rows.size, block):
+            targets = nc.edges(rows[i:i + block])
+            hit[targets[targets >= 0]] = True
+            if hit.all():
+                break
+        new = hit & (layer == 0)
+        if not new.any():
+            raise ArithmeticError("step set does not generate F_{q^2}")
+        layer[new] = level
+    return layer
+
+
+def _first_at_depth(nc: _NormClasses, layer: np.ndarray, depth: int) -> int:
+    """The smallest ambient code whose class lies at the given depth."""
+    lo, n = 1, 64
+    while lo < nc.ctx.order:
+        codes = np.arange(lo, min(lo + n, nc.ctx.order), dtype=np.int64)
+        deep = np.flatnonzero(layer[nc.of(codes)] == depth)
+        if deep.size:
+            return int(codes[deep[0]])
+        lo, n = lo + n, 2 * n
+    raise ArithmeticError(f"no class at depth {depth}")
+
+
+def _steps(ctx: FieldContext) -> np.ndarray:
+    """steps[c, i] = c * xi^i for c in F_q0^*, 0 <= i <= q: the syndromes of
+    weight-1 words, position by position."""
+    bf = BulkField(ctx)
+    xi_pows = bf.powers(ctx.xi, ctx.q + 1)
+    sub = np.array([c for c in tower.subfield_elements(ctx, "q0") if c], dtype=np.int64)
+    prod = bf.mul(np.repeat(sub, xi_pows.size), np.tile(xi_pows, sub.size))
+    return prod.reshape(sub.size, xi_pows.size)
 
 
 def _check_oracle_cap(q0: int, s: int, caps: Caps):
@@ -79,14 +188,16 @@ def _check_oracle_cap(q0: int, s: int, caps: Caps):
 
 
 def covering_radius_oracle(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> RadiusReport:
-    """Exact rho by breadth-first layering of the whole syndrome space."""
+    """Exact rho by breadth-first layering of the syndrome space, class by
+    class; the witness is the smallest syndrome code at depth rho."""
     t0 = time.perf_counter()
     p, m = prime_power_split(q0)
     _check_oracle_cap(q0, s, caps)
     ctx = make_field_for_q0(q0, s, caps=caps)
-    layer = _oracle_layers(ctx)
+    nc = _NormClasses(ctx)
+    layer = _class_layers(nc)
     rho = int(layer.max())
-    deepest = int(np.flatnonzero(layer == rho)[0])
+    deepest = _first_at_depth(nc, layer, rho)
     return RadiusReport(
         q0=q0, s=s, rho=rho, method="oracle",
         witness=list(ctx.decode(deepest)),
@@ -106,7 +217,8 @@ def half_full_radius_equality_check(q0: int, s: int, caps: Caps = DEFAULT_CAPS) 
         raise PreconditionViolated("half code requires odd q0")
     _check_oracle_cap(q0, s, caps)
     ctx = make_field_for_q0(q0, s, caps=caps)
-    return _steps(ctx, (ctx.q + 1) // 2) == _steps(ctx, ctx.q + 1)
+    steps = _steps(ctx)
+    return np.array_equal(np.unique(steps[:, :(ctx.q + 1) // 2]), np.unique(steps))
 
 
 # ---------------------------------------------------------------------------

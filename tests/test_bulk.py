@@ -58,6 +58,23 @@ def test_trace_table_char2_matches_scalar():
             assert int(tr[v]) == F.trace_to(v, d)
 
 
+def test_powers_and_frobenius_match_scalar():
+    for p, k in [(2, 8), (3, 4), (29, 2)]:
+        F = Field(p, k)
+        bf = BulkField(F)
+        base = F.pow(F.generator, 5)
+        pows = bf.powers(base, 70)
+        x = 1
+        for j in range(70):
+            assert int(pows[j]) == x
+            x = F.mul(x, base)
+        codes = np.arange(F.order, dtype=np.int64)
+        for e in range(k + 1):
+            frob = bf.frobenius(codes, e)
+            for y in range(0, F.order, 11):
+                assert int(frob[y]) == F.pow(y, p**e)
+
+
 def test_exp_prefix_matches_full_table():
     bf = BulkField(Field(5, 3))
     full = bf.build_exp()

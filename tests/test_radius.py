@@ -1,6 +1,8 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zetterberg import _bulk
@@ -9,8 +11,8 @@ from zetterberg._bulk import BulkField, covering_layers
 from zetterberg.caps import Caps
 from zetterberg.errors import (PreconditionViolated, SizeCapExceeded, Undecidable,
                                ZetterbergError)
-from zetterberg.gf import make_field_for_q0
-from zetterberg.tower import subfield_elements
+from zetterberg.gf import factorize, make_field_for_q0
+from zetterberg.tower import subfield_elements, subgroup_elements
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,6 +48,42 @@ def _pure_python_layers(ctx, n_pos=None):
     return steps, layers
 
 
+def _classes_count(ctx):
+    # r = (q-1) * gcd(2, q0-1) / (q0-1): the index of F_q0^* * H in F_{q^2}^*
+    return (ctx.q - 1) * math.gcd(2, ctx.q0 - 1) // (ctx.q0 - 1)
+
+
+def _class_layers(ctx):
+    return R._class_layers(R._NormClasses(ctx))
+
+
+def _element_layers(ctx):
+    # the class oracle's layers expanded to every syndrome code; the class of
+    # y != 0 is log_g(y) mod r, read off an ambient log table
+    bf = BulkField(ctx)
+    out = _class_layers(ctx)[bf.build_log_table(bf.build_exp()) % _classes_count(ctx)]
+    out[0] = 0
+    return out
+
+
+def _layer_counts(ctx):
+    # syndromes per layer: 0 alone at depth 0, then |G| = (q^2-1)/r per class
+    layer = _class_layers(ctx)
+    assert layer.min() >= 1
+    counts = np.bincount(layer) * ((ctx.order - 1) // _classes_count(ctx))
+    counts[0] = 1
+    return counts.tolist()
+
+
+def _reference_layers(ctx):
+    # plain element BFS under S = F_q0^* * H, built from the two subgroups
+    bf = BulkField(ctx)
+    c = np.array(subgroup_elements(ctx, "Fq0_star"), dtype=np.int64)
+    h = np.array(subgroup_elements(ctx, "H"), dtype=np.int64)
+    steps = np.unique(bf.mul(np.repeat(c, h.size), np.tile(h, c.size)))
+    return covering_layers(bf, steps.tolist())
+
+
 def test_oracle_agrees_with_pure_python_bfs():
     for q0, s, expected in [(2, 2, 2), (3, 2, 3)]:  # one rho=2 and one rho=3
         ctx = make_field_for_q0(q0, s)
@@ -53,13 +91,110 @@ def test_oracle_agrees_with_pure_python_bfs():
         assert max(layers.values()) == expected
         layer_arr = covering_layers(BulkField(ctx), steps)
         assert int(layer_arr.max()) == expected
+        classes = _element_layers(ctx)
         for v, lv in layers.items():
-            assert layer_arr[v] == lv
+            assert layer_arr[v] == lv == classes[v]
+
+
+def _oracle_cells(max_q2):
+    return [(q0, s) for q0 in range(2, 1025) if len(factorize(q0)) == 1
+            for s in range(1, 21) if q0 ** (2 * s) <= max_q2]
+
+
+def test_class_oracle_matches_element_bfs():
+    # every syndrome's layer and the witness (the smallest code at depth rho)
+    # against the plain element BFS, at every cell with q^2 <= 2^16
+    cells = _oracle_cells(2**16)
+    assert {(2, 8), (3, 5), (16, 2), (256, 1), (251, 1)} <= set(cells)
+    for q0, s in cells:
+        ctx = make_field_for_q0(q0, s)
+        ref = _reference_layers(ctx)
+        assert (_element_layers(ctx) == ref).all(), (q0, s)
+        rho = int(ref.max())
+        rep = R.covering_radius_oracle(q0, s)
+        assert rep.rho == rho, (q0, s)
+        assert ctx.encode(rep.witness) == int(np.flatnonzero(ref == rho)[0]), (q0, s)
+
+
+def test_class_edges_match_brute_force():
+    # every (norm, trace) cell of the edge grid against the z in F_{q^2}^*
+    # that realise it, classified by the ambient log table
+    for q0, s in [(3, 1), (3, 2), (5, 2), (7, 1), (2, 4), (4, 2), (8, 2), (9, 2)]:
+        ctx = make_field_for_q0(q0, s)
+        nc = R._NormClasses(ctx)
+        bf = BulkField(ctx)
+        log = bf.build_log_table(bf.build_exp())
+        r, Q = _classes_count(ctx), ctx.q - 1
+        expected = np.full((Q, Q + 1), -1)
+        for z in range(1, ctx.order):
+            zq = ctx.pow(z, ctx.q)
+            n, t = ctx.mul(z, zq), ctx.add(z, zq)
+            # norms and traces lie in F_q^* = <g^(q+1)>: gamma-log = g-log / (q+1)
+            j = Q if t == 0 else log[t] // (ctx.q + 1)
+            one_z = ctx.add(1, z)
+            expected[log[n] // (ctx.q + 1), j] = -1 if one_z == 0 else log[one_z] % r
+        assert (nc.edges(np.arange(Q)) == expected).all(), (q0, s)
+
+
+def test_class_layers_do_not_depend_on_the_block_size(monkeypatch):
+    # one row per edge block: every level runs through many blocks
+    cells = [(3, 4), (5, 3), (2, 8), (4, 4), (27, 2)]
+    wide = {cell: _layer_counts(make_field_for_q0(*cell)) for cell in cells}
+    monkeypatch.setattr(R, "_GRID_BLOCK", 1)
+    for cell in cells:
+        assert _layer_counts(make_field_for_q0(*cell)) == wide[cell], cell
+
+
+def test_oracle_layer_counts_cover_the_syndrome_space():
+    for q0, s in _oracle_cells(2**20):
+        ctx = make_field_for_q0(q0, s)
+        counts = _layer_counts(ctx)
+        assert sum(counts) == ctx.order, (q0, s)
+        assert counts[1] == (ctx.order - 1) // _classes_count(ctx)  # G alone
+
+
+def test_oracle_layer_counts_pinned():
+    # the per-layer counts of the element BFS above q^2 = 2^16, where the
+    # reference is too slow to rerun here ((27,2) took 27 s)
+    pinned = {
+        (2, 9): [1, 513, 130815, 130815],
+        (2, 10): [1, 1025, 524800, 522750],
+        (3, 6): [1, 730, 265720, 264990],
+        (4, 5): [1, 3075, 999375, 46125],
+        (5, 4): [1, 1252, 292968, 96404],
+        (7, 3): [1, 1032, 103200, 13416],
+        (8, 3): [1, 3591, 258552],
+        (9, 3): [1, 2920, 502240, 26280],
+        (27, 2): [1, 9490, 512460, 9490],
+    }
+    for (q0, s), counts in pinned.items():
+        assert _layer_counts(make_field_for_q0(q0, s)) == counts, (q0, s)
+
+
+def test_oracle_runs_no_element_bfs(monkeypatch):
+    def no_bfs(*args):
+        raise AssertionError("covering_layers called")
+    monkeypatch.setattr(_bulk, "covering_layers", no_bfs)
+    for q0, s in [(3, 2), (4, 3), (2, 5)]:
+        assert R.covering_radius(q0, s, "verify").cross_checks[-1][0] == "oracle"
+
+
+def test_oracle_beyond_default_cap_agrees_with_criterion():
+    # 2^20 < q^2 <= 2^24: a second opinion for the criterion above the
+    # default oracle cap
+    raised = Caps(oracle_cap=2**24)
+    for q0, s in [(37, 2), (2, 11), (3, 7), (8, 4)]:
+        assert 2**20 < q0 ** (2 * s) <= 2**24
+        oracle = R.covering_radius_oracle(q0, s, caps=raised).rho
+        assert oracle == R.rho_criterion(q0, s).rho, (q0, s)
+        shortcut = R.rho_shortcuts(q0, s)
+        if shortcut is not None:
+            assert oracle == shortcut[0], (q0, s, shortcut)
 
 
 def test_oracle_layers_constant_on_orbits():
     ctx = make_field_for_q0(3, 2)
-    layer = R._oracle_layers(ctx)
+    layer = _element_layers(ctx)
     scalars = [c for c in subfield_elements(ctx, "q0") if c]
     for v in range(ctx.order):
         assert layer[ctx.mul(v, ctx.xi)] == layer[v]
@@ -191,14 +326,14 @@ def test_half_code_bfs_matches_full_oracle_layers():
     for q0, s in [(3, 2), (5, 2), (7, 2), (3, 3)]:
         ctx = make_field_for_q0(q0, s)
         _, layers = _pure_python_layers(ctx, (ctx.q + 1) // 2)
-        full = R._oracle_layers(ctx)
+        full = _element_layers(ctx)
         assert [layers[v] for v in range(ctx.order)] == [int(v) for v in full]
 
 
 def test_half_full_check_runs_no_bfs(monkeypatch):
     def no_bfs(*args):
-        raise AssertionError("covering_layers called")
-    monkeypatch.setattr(R, "covering_layers", no_bfs)
+        raise AssertionError("a BFS was called")
+    monkeypatch.setattr(R, "_class_layers", no_bfs)
     monkeypatch.setattr(_bulk, "covering_layers", no_bfs)
     for q0, s in [(3, 2), (7, 3), (13, 2)]:
         assert R.half_full_radius_equality_check(q0, s)
