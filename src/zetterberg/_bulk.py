@@ -68,8 +68,12 @@ class BulkField:
     def _reduce(self, x: np.ndarray) -> np.ndarray:
         """x mod p for nonnegative integers x held exactly in a float dtype
         (below half its mantissa limit): the correctly rounded x / p then
-        floors to the exact quotient.  Cheaper than the float remainder."""
-        return x - self.p * np.floor(x / self.p)
+        floors to the exact quotient.  Cheaper than the float remainder.
+        Allocates a single array of x's shape."""
+        out = x / self.p
+        np.floor(out, out=out)
+        out *= self.p
+        return np.subtract(x, out, out=out)
 
     def _frobenius_matrix(self, e: int) -> np.ndarray:
         """Digit matrix of y -> y^(p^e), composed from the matrix of y -> y^p."""
@@ -98,8 +102,10 @@ class BulkField:
 
     def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """digits of a*b = sum_i a_i * (X^i * b); a and b broadcast along
-        the first axis."""
+        the first axis, and a single row b is one 2-D product."""
         shifted = (b @ self._shift_matrix).reshape(-1, self.k, self.k)
+        if shifted.shape[0] == 1:
+            return self._reduce(a @ shifted[0])
         return self._reduce((a[:, None, :] @ shifted)[:, 0, :])
 
     def _chain(self, digits: np.ndarray, n: int) -> np.ndarray:
@@ -176,6 +182,7 @@ class BulkField:
         return self.add_const(codes, self.F.neg(c))
 
     def mul_const(self, codes: np.ndarray, c: int) -> np.ndarray:
+        """codes * c: shifts and xors in characteristic 2, else a one-row mul."""
         if self.p == 2:
             res = np.zeros_like(codes)
             cur = codes.copy()
@@ -190,12 +197,7 @@ class BulkField:
                     overflow = (cur >> k) & 1
                     cur ^= overflow * mod2
             return res
-        # multiplication by a constant is F_p-linear: one k x k digit matrix
-        rows = [self.F.decode(self.F.mul(c, int(self._pk[i]))) for i in range(self.k)]
-        M = np.array(rows, dtype=np.float64)
-        d = self.decode(codes).astype(np.float64)
-        prod = np.rint(d @ M).astype(np.int64)
-        return self.encode(prod)
+        return self.mul(codes, np.array([c]))
 
     # -- group enumeration and character tables
 

@@ -2,8 +2,10 @@
 
 Everything here is exact and cross-checkable against brute force: the
 quadratic-sum closed form, the root-in-H counts for quadratics of the shape
-a*X^2 + b*X + a^q, Artin-Schreier solvability, the quartic non-square pair
-search, and a Weil-bound verification harness for quadratic characters.
+a*X^2 + b*X + a^q, Artin-Schreier solvability and a closed-form root of
+z^2 + z = c (no linear solve), the quartic non-square pair search, and a
+Weil-bound verification harness for quadratic characters.  Every trace goes
+through `Field.trace_to`.
 """
 
 from __future__ import annotations
@@ -214,57 +216,30 @@ def artin_schreier_solvable(F: Field, a: int, b: int) -> bool:
     if F.p != 2:
         raise PreconditionViolated("characteristic 2 required")
     if a == 0:
-        raise ZeroDivisionError("a must be nonzero")
+        return True  # x^2 = b has the root b^(order/2)
     c = F.mul(b, F.inv(F.mul(a, a)))
     return F.trace_to(c, 1) == 0
 
 
 def solve_artin_schreier(F: Field, c: int) -> int | None:
-    """A solution z of z^2 + z = c over F (char 2), or None.
+    """A solution z of z^2 + z = c over F = F_{2^k}, or None when Tr(c) = 1.
 
-    Half-trace for odd extension degree; an F_2 kernel solve otherwise.
+    Closed form for every k: z = sum_{i<k-1} (sum_{j>i} delta^(2^j)) * c^(2^i)
+    with delta of absolute trace 1.  The trace is F_2-linear, so the first
+    code of trace 1 is a basis element X^i (delta = 1 when k is odd).
     """
     if F.p != 2:
         raise PreconditionViolated("characteristic 2 required")
     if F.trace_to(c, 1) != 0:
         return None
-    if F.k % 2 == 1:
-        z = 0
-        for i in range((F.k - 1) // 2 + 1):
-            z = F.add(z, F.pow(c, 2 ** (2 * i)))
-        # half-trace solves z^2+z = c + Tr(c); Tr(c) = 0 here
-    else:
-        # solve M*z = c over F_2 where M is the matrix of z -> z^2 + z
-        k = F.k
-        cols = [F.add(F.mul(1 << i, 1 << i), 1 << i) for i in range(k)]
-        # gaussian elimination on rows of the k x (k+1) system
-        rows = []
-        for bit in range(k):
-            row = 0
-            for j in range(k):
-                if (cols[j] >> bit) & 1:
-                    row |= 1 << j
-            row |= ((c >> bit) & 1) << k
-            rows.append(row)
-        pivots = []
-        r = 0
-        for col in range(k):
-            pivot = next((i for i in range(r, k) if (rows[i] >> col) & 1), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            for i in range(k):
-                if i != r and (rows[i] >> col) & 1:
-                    rows[i] ^= rows[r]
-            pivots.append(col)
-            r += 1
-        for i in range(r, k):
-            if (rows[i] >> k) & 1:
-                return None  # inconsistent; cannot happen when trace is 0
-        z = 0
-        for i, col in enumerate(pivots):
-            if (rows[i] >> k) & 1:
-                z |= 1 << col
+    delta = next(1 << i for i in range(F.k) if F.trace_to(1 << i, 1))
+    # the same double sum over i < j <= k-1, grouped by j
+    z = head = 0
+    x, d = c, delta
+    for _ in range(F.k - 1):
+        head, d = F.add(head, x), F.mul(d, d)  # sum_{i<j} c^(2^i), delta^(2^j)
+        z = F.add(z, F.mul(head, d))
+        x = F.mul(x, x)
     assert F.add(F.mul(z, z), z) == c
     return z
 
@@ -278,13 +253,8 @@ def roots_in_H_exist_even(ctx: FieldContext, alpha: int, beta: int) -> bool:
     if alpha == 0:
         return False
     c = ctx.div(ctx.pow(alpha, ctx.q + 1), ctx.mul(beta, beta))
-    # c lies in F_q; its absolute trace restricted to F_q decides solvability
-    t = 0
-    x = c
-    for _ in range(ctx.s * ctx.m):
-        t = ctx.add(t, x)
-        x = ctx.mul(x, x)
-    return t == 1
+    # c lies in F_q; its absolute trace there decides solvability
+    return ctx.trace_to(c, 1, ctx.s * ctx.m) == 1
 
 
 def roots_in_H_even(ctx: FieldContext, alpha: int, beta: int) -> tuple[int, int] | None:

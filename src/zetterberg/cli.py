@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cl = sub.add_parser("classify", help="quasi-perfect / maximal classification")
     p_cl.add_argument("--q0", type=_prime_power, required=True)
-    p_cl.add_argument("--s-max", dest="s_max", type=int, required=True)
+    p_cl.add_argument("--s-max", dest="s_max", type=_positive_int, required=True)
     p_cl.add_argument("--variant", required=True, choices=["full", "half"])
     p_cl.add_argument("--format", default="markdown",
                       choices=["markdown", "csv", "json"])

@@ -39,12 +39,9 @@ class ZetterbergCode:
         if self.dimension < 0:
             raise PreconditionViolated(
                 f"2s = {2*ctx.s} exceeds length {self.length}")
-        powers = [1]
-        for _ in range(n_full - 1):
-            powers.append(ctx.mul(powers[-1], self.xi))
-        self.h_powers = powers
-        self.positions = powers[: self.length]
-        self._pos_index = {h: i for i, h in enumerate(powers)}
+        self.h_powers = tower.subgroup_elements(ctx, "H")
+        self.positions = self.h_powers[: self.length]
+        self._pos_index = {h: i for i, h in enumerate(self.h_powers)}
 
     @property
     def q0(self) -> int:

@@ -375,29 +375,27 @@ class Field:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    # -- tower maps relative to a subfield F_{p^d}, d | k
+    # -- tower maps from the subfield of degree from_degree (default k) to
+    #    the subfield of degree d, d | from_degree | k
 
-    def trace_to(self, a: int, d: int) -> int:
-        if self.k % d:
+    def trace_to(self, a: int, d: int, from_degree: int | None = None) -> int:
+        """a + a^(p^d) + a^(p^(2d)) + ... over from_degree/d conjugates; a must
+        lie in the subfield of degree from_degree (not checked)."""
+        return self._frobenius_fold(a, d, from_degree, self.add, 0)
+
+    def norm_to(self, a: int, d: int, from_degree: int | None = None) -> int:
+        """a * a^(p^d) * a^(p^(2d)) * ..., with a as in trace_to."""
+        return self._frobenius_fold(a, d, from_degree, self.mul, 1)
+
+    def _frobenius_fold(self, a: int, d: int, from_degree: int | None, op, acc: int) -> int:
+        n = self.k if from_degree is None else from_degree
+        if n % d or self.k % n:
             raise ValueError("subfield degree must divide k")
         step = self.p**d
-        t = 0
-        x = a
-        for _ in range(self.k // d):
-            t = self.add(t, x)
-            x = self.pow(x, step)
-        return t
-
-    def norm_to(self, a: int, d: int) -> int:
-        if self.k % d:
-            raise ValueError("subfield degree must divide k")
-        step = self.p**d
-        t = 1
-        x = a
-        for _ in range(self.k // d):
-            t = self.mul(t, x)
-            x = self.pow(x, step)
-        return t
+        for _ in range(n // d):
+            acc = op(acc, a)
+            a = self.pow(a, step)
+        return acc
 
     # -- multiplicative structure
 

@@ -1,7 +1,9 @@
 """Maps between the levels F_q0 <= F_q <= F_{q^2} and the subgroup H.
 
 Levels are named by tags: 'q2' (the ambient field), 'q', 'q0'.  All functions
-are pure over an immutable FieldContext.
+are pure over an immutable FieldContext.  `trace` and `norm` check the levels
+and the element, then apply `Field.trace_to` / `Field.norm_to`, the package's
+one Frobenius sum and one Frobenius product.
 """
 
 from __future__ import annotations
@@ -30,36 +32,24 @@ def in_level(ctx: FieldContext, x: int, level: str) -> bool:
     return ctx.pow(x, level_order(ctx, level)) == x
 
 
-def trace(ctx: FieldContext, x: int, from_level: str, to_level: str) -> int:
+def _map_degrees(ctx: FieldContext, x: int, from_level: str,
+                 to_level: str) -> tuple[int, int]:
+    """(d_to, d_from) for a tower map on x, after the level checks."""
     d_from = level_degree(ctx, from_level)
     d_to = level_degree(ctx, to_level)
     if d_from % d_to:
         raise ValueError(f"{to_level} is not a subfield of {from_level}")
     if not in_level(ctx, x, from_level):
         raise PreconditionViolated(f"element not in level {from_level}")
-    step = ctx.p**d_to
-    t = 0
-    y = x
-    for _ in range(d_from // d_to):
-        t = ctx.add(t, y)
-        y = ctx.pow(y, step)
-    return t
+    return d_to, d_from
+
+
+def trace(ctx: FieldContext, x: int, from_level: str, to_level: str) -> int:
+    return ctx.trace_to(x, *_map_degrees(ctx, x, from_level, to_level))
 
 
 def norm(ctx: FieldContext, x: int, from_level: str, to_level: str) -> int:
-    d_from = level_degree(ctx, from_level)
-    d_to = level_degree(ctx, to_level)
-    if d_from % d_to:
-        raise ValueError(f"{to_level} is not a subfield of {from_level}")
-    if not in_level(ctx, x, from_level):
-        raise PreconditionViolated(f"element not in level {from_level}")
-    step = ctx.p**d_to
-    t = 1
-    y = x
-    for _ in range(d_from // d_to):
-        t = ctx.mul(t, y)
-        y = ctx.pow(y, step)
-    return t
+    return ctx.norm_to(x, *_map_degrees(ctx, x, from_level, to_level))
 
 
 def quadratic_character(ctx: FieldContext, x: int, level: str) -> int:

@@ -131,6 +131,20 @@ def test_covering_layers_tiny_group():
     assert layer[0] == 0 and layer[1] == 1 and layer[2] == 1
 
 
+@pytest.mark.parametrize("p,k,dtype", [(5, 9, np.float32), (101, 3, np.float64)])
+def test_mul_const_and_one_row_mul_match_scalar(p, k, dtype):
+    F = Field(p, k)
+    bf = BulkField(F)
+    assert bf._dtype is dtype
+    rng = random.Random(p + k)
+    codes = np.array([0, 1, F.order - 1] + [rng.randrange(F.order) for _ in range(300)],
+                     dtype=np.int64)
+    for c in (0, 1, p - 1, p, F.order - 1, rng.randrange(F.order), rng.randrange(F.order)):
+        expected = [F.mul(int(a), c) for a in codes]
+        assert bf.mul_const(codes, c).tolist() == expected
+        assert bf.mul(codes, np.array([c])).tolist() == expected
+
+
 def test_digit_kernels_refuse_inexact_fields():
     # digit products of F_p^2 with p near 10^6 overflow a float mantissa
     bf = BulkField(Field(1000003, 2))

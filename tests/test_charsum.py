@@ -161,15 +161,40 @@ def test_artin_schreier_matches_brute_force():
         brute = any(F64.add(F64.add(F64.mul(x, x), F64.mul(a, x)), b) == 0
                     for x in range(64))
         assert cs.artin_schreier_solvable(F64, a, b) == brute
+    # a = 0: x^2 = b always has the root b^(order/2)
+    for b in range(64):
+        brute = any(F64.add(F64.mul(x, x), b) == 0 for x in range(64))
+        assert brute and cs.artin_schreier_solvable(F64, 0, b)
+
+
+def _absolute_trace(F, c):
+    # c + c^2 + c^4 + ... by repeated squaring
+    t, x = 0, c
+    for _ in range(F.k):
+        t, x = F.add(t, x), F.mul(x, x)
+    return t
+
+
+def _half_trace(F, c):
+    # c + c^4 + c^16 + ... + c^(2^(k-1)), k odd
+    z, x = 0, c
+    for _ in range((F.k + 1) // 2):
+        z = F.add(z, x)
+        x = F.mul(F.mul(x, x), F.mul(x, x))
+    return z
 
 
 def test_solve_artin_schreier_both_parities():
-    for F in (Field(2, 5), Field(2, 6), Field(2, 4)):
+    for k in range(1, 11):
+        F = Field(2, k)
         soluble = 0
         for c in range(F.order):
             z = cs.solve_artin_schreier(F, c)
+            assert (z is not None) == (_absolute_trace(F, c) == 0)
             if z is not None:
                 assert F.add(F.mul(z, z), z) == c
+                if k % 2:
+                    assert z == _half_trace(F, c)
                 soluble += 1
         assert soluble == F.order // 2
 

@@ -141,6 +141,13 @@ def test_radius_rejects_zero_s():
     assert r.returncode == 2 and r.stdout == ""
 
 
+def test_classify_rejects_nonpositive_s_max():
+    for args in (("--s-max", "0", "--variant", "full"),
+                 ("--s-max", "-2", "--variant", "full", "--format", "json")):
+        r = run_cli("classify", "--q0", "3", *args)
+        assert r.returncode == 2 and r.stdout == ""
+
+
 def test_bad_config_is_usage_error(tmp_path, monkeypatch):
     for text in ("scan_cap=0\n", "no_such_cap=1\n", "oracle_cap=many\n"):
         cfg = tmp_path / "caps.conf"

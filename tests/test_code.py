@@ -6,7 +6,7 @@ import pytest
 from zetterberg import code as C
 from zetterberg.errors import PreconditionViolated
 from zetterberg.gf import make_field_for_q0
-from zetterberg.tower import subfield_elements
+from zetterberg.tower import subfield_elements, subgroup_elements
 
 
 def test_build_code_parameters():
@@ -16,6 +16,14 @@ def test_build_code_parameters():
     assert (half.length, half.dimension) == (13, 9)
     trivial = C.build_code(make_field_for_q0(3, 1), "half")
     assert (trivial.length, trivial.dimension) == (2, 0)
+
+
+def test_h_powers_are_the_subgroup_walk():
+    for q0, s, variant in [(4, 2, "full"), (5, 2, "half"), (3, 3, "full")]:
+        ctx = make_field_for_q0(q0, s)
+        code = C.build_code(ctx, variant)
+        assert code.h_powers == subgroup_elements(ctx, "H")
+        assert code.h_powers == [ctx.pow(ctx.xi, i) for i in range(ctx.q + 1)]
 
 
 def test_half_variant_needs_odd_q0():

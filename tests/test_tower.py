@@ -5,7 +5,7 @@ import pytest
 
 from zetterberg import tower
 from zetterberg.errors import PreconditionViolated
-from zetterberg.gf import make_field
+from zetterberg.gf import make_field, make_field_for_q0
 
 
 def test_trace_zero_and_constants():
@@ -172,3 +172,49 @@ def test_in_scaled_h_orbit_invariance():
         flag = tower.in_scaled_H(ctx, y)
         assert tower.in_scaled_H(ctx, ctx.mul(y, ctx.xi)) == flag
         assert tower.in_scaled_H(ctx, ctx.mul(rng.choice(scalars), y)) == flag
+
+
+LEVELS = ("q2", "q", "q0")
+
+
+def _frobenius_loop(ctx, x, d_from, d_to, op, acc):
+    # the conjugates x, x^(p^d_to), x^(p^(2*d_to)), ... by repeated powering
+    y = x
+    for _ in range(d_from // d_to):
+        acc = op(acc, y)
+        for _ in range(d_to):
+            y = ctx.pow(y, ctx.p)
+    return acc
+
+
+@pytest.mark.parametrize("q0,s", [(3, 2), (5, 2), (2, 3), (4, 2)])
+def test_trace_and_norm_match_frobenius_loops_on_every_level_pair(q0, s):
+    ctx = make_field_for_q0(q0, s)
+    for i, src in enumerate(LEVELS):
+        d_from = tower.level_degree(ctx, src)
+        elements = tower.subfield_elements(ctx, src)
+        for dst in LEVELS[i:]:
+            d_to = tower.level_degree(ctx, dst)
+            for x in elements:
+                tr = _frobenius_loop(ctx, x, d_from, d_to, ctx.add, 0)
+                nm = _frobenius_loop(ctx, x, d_from, d_to, ctx.mul, 1)
+                assert ctx.trace_to(x, d_to, d_from) == tr == tower.trace(ctx, x, src, dst)
+                assert ctx.norm_to(x, d_to, d_from) == nm == tower.norm(ctx, x, src, dst)
+    # transitivity through the middle level
+    for x in range(ctx.order):
+        assert tower.trace(ctx, x, "q2", "q0") == \
+            tower.trace(ctx, tower.trace(ctx, x, "q2", "q"), "q", "q0")
+        assert tower.norm(ctx, x, "q2", "q0") == \
+            tower.norm(ctx, tower.norm(ctx, x, "q2", "q"), "q", "q0")
+
+
+def test_trace_to_rejects_non_dividing_degrees():
+    ctx = make_field(2, 1, 3)  # degrees 6, 3, 1
+    with pytest.raises(ValueError):
+        ctx.trace_to(1, 2, 3)   # 2 does not divide 3
+    with pytest.raises(ValueError):
+        ctx.norm_to(1, 2, 4)    # 4 does not divide 6
+    with pytest.raises(ValueError):
+        tower.trace(ctx, 1, "q0", "q")
+    with pytest.raises(PreconditionViolated):
+        tower.norm(ctx, ctx.generator, "q", "q0")
