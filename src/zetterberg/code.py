@@ -4,15 +4,22 @@ A code is pinned to an ambient FieldContext: the full code has length q+1
 with parity condition sum(c_i * xi^i) = 0 over all of H = <xi>, the half code
 (odd q0 only) keeps the first (q+1)/2 positions.  Codewords are plain lists
 of F_q0 coefficient codes.
+
+A word is a codeword exactly when M(X), the minimal polynomial of xi over
+F_q0 (degree 2s), divides sum(c_i * X^i).  Column i of the parity-check
+matrix is X^i mod M, so its first 2s columns are the identity and the code
+has the systematic basis e_j - (X^j mod M), j >= 2s; no linear solve is
+needed anywhere.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .caps import Caps
 from .errors import PreconditionViolated, SizeCapExceeded
-from .gf import Field, FieldContext
+from .gf import FieldContext
 from . import charsum, tower
 
 
@@ -114,98 +121,33 @@ def codeword_to_json(code: ZetterbergCode, word) -> dict:
 # parity-check view
 
 
-def _subfield_coord_map(code: ZetterbergCode):
-    """Decomposition of ambient elements over the F_q0-basis (1, xi, ..., xi^(2s-1)).
-
-    Returns a function element -> tuple of 2s subfield codes.  Internally an
-    F_p-linear solve against the product basis xi^j * gamma^t where gamma
-    generates F_q0 over F_p.
-    """
-    ctx = code.ctx
-    p, n, m, s = ctx.p, ctx.k, ctx.m, ctx.s
-    gamma = ctx.pow(ctx.generator, (ctx.order - 1) // (ctx.q0 - 1)) if ctx.q0 > 2 else 1
-    gamma_pows = [1]
-    for _ in range(m - 1):
-        gamma_pows.append(ctx.mul(gamma_pows[-1], gamma))
-    basis = []
-    for j in range(2 * s):
-        for t in range(m):
-            basis.append(ctx.mul(code.h_powers[j], gamma_pows[t]))
-    # invert the n x n matrix whose columns are the basis digit vectors
-    cols = [ctx.decode(b) for b in basis]
-    aug = [[cols[c][r] for c in range(n)] + [int(i == r) for i in range(n)]
-           for r in range(n)]
-    inv_rows = [row[n:] for row in _rref(Field(p, 1), aug)[0]]
-
-    def coords(x: int) -> tuple:
-        digits = ctx.decode(x)
-        sol = [sum(inv_rows[r][c] * digits[c] for c in range(n)) % p for r in range(n)]
-        out = []
-        for j in range(2 * s):
-            acc = 0
-            for t in range(m):
-                c = sol[j * m + t]
-                if c:
-                    acc = ctx.add(acc, ctx.mul(ctx.encode([c]), gamma_pows[t]))
-            out.append(acc)
-        return tuple(out)
-
-    return coords
+def minimal_polynomial(ctx: FieldContext) -> list[int]:
+    """M(X) = prod_{j<2s} (X - xi^(q0^j)), the minimal polynomial of xi over
+    F_q0: monic of degree 2s, coefficients ascending (ambient codes of F_q0
+    elements).  The code is the set of words whose polynomial M divides."""
+    poly = [1]
+    root = ctx.xi
+    for _ in range(2 * ctx.s):
+        # poly *= (X - root)
+        poly = [ctx.sub(a, ctx.mul(root, b)) for a, b in zip([0] + poly, poly + [0])]
+        root = ctx.pow(root, ctx.q0)
+    assert all(ctx.pow(c, ctx.q0) == c for c in poly)
+    return poly
 
 
 def parity_check_matrix(code: ZetterbergCode) -> list[list[int]]:
     """2s x length matrix over F_q0 (entries are ambient codes of subfield
-    elements); column i holds the coordinates of xi^i."""
-    coords = _subfield_coord_map(code)
-    columns = [coords(pos) for pos in code.positions]
-    return [[columns[i][r] for i in range(code.length)] for r in range(2 * code.ctx.s)]
-
-
-def _rref(F: Field, rows) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over F by Gauss-Jordan elimination.
-
-    Returns the reduced rows and the pivot columns in order; row r < rank
-    has its leading 1 in column pivots[r], the rows after those are zero.
-    """
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == len(rows):
-            break
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = F.inv(rows[rank][col])
-        rows[rank] = [F.mul(v, inv) for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-    return rows, pivots
-
-
-def matrix_rank(ctx: FieldContext, rows) -> int:
-    return len(_rref(ctx, rows)[1])
-
-
-def kernel_basis(code: ZetterbergCode) -> list[list[int]]:
-    """Basis of the code (kernel of the parity-check matrix) over F_q0."""
+    elements); column i holds the coordinates of xi^i in the basis
+    (1, xi, ..., xi^(2s-1)), i.e. the coefficients of X^i mod M."""
     ctx = code.ctx
-    rows, pivots = _rref(ctx, parity_check_matrix(code))
-    basis = []
-    for fc in range(code.length):
-        if fc in pivots:
-            continue
-        vec = [0] * code.length
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = ctx.neg(rows[r][fc])
-        basis.append(vec)
-    return basis
+    poly = minimal_polynomial(ctx)
+    columns = [[1] + [0] * (2 * ctx.s - 1)]
+    while len(columns) < code.length:
+        # X * col mod M: shift up, subtract the overflow times M (monic)
+        col = columns[-1]
+        columns.append([ctx.sub(c, ctx.mul(col[-1], m))
+                        for c, m in zip([0] + col[:-1], poly)])
+    return [list(row) for row in zip(*columns)]
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +252,10 @@ def weight4_word(code: ZetterbergCode, caps: Caps) -> list | None:
 
 
 def _enumerate_min_weight(code: ZetterbergCode, caps: Caps) -> int | None:
-    """Exact minimum weight by enumerating all codewords (tiny dimensions)."""
+    """Exact minimum weight by enumerating all codewords (tiny dimensions).
+
+    H = [I | A], so the information symbols sit at positions >= 2s and the
+    check symbols of a word are minus the A-columns weighted by them."""
     ctx = code.ctx
     if code.dimension == 0:
         return None
@@ -318,30 +263,21 @@ def _enumerate_min_weight(code: ZetterbergCode, caps: Caps) -> int | None:
     if n_words > caps.enum_codewords_cap:
         raise SizeCapExceeded(
             f"q0^dim = {n_words} exceeds enumeration cap {caps.enum_codewords_cap}")
-    basis = kernel_basis(code)
-    sub_els = tower.subfield_elements(ctx, "q0")
+    n_checks = 2 * code.s
+    info_columns = list(zip(*parity_check_matrix(code)))[n_checks:]
     best = None
-    state = [0] * code.dimension
-    while True:
-        if any(state):
-            word = [0] * code.length
-            for bi, ci in enumerate(state):
-                c = sub_els[ci]
-                if c:
-                    row = basis[bi]
-                    word = [ctx.add(w, ctx.mul(c, r)) for w, r in zip(word, row)]
-            w = weight(word)
-            if best is None or w < best:
-                best = w
-        pos = 0
-        while pos < code.dimension:
-            state[pos] += 1
-            if state[pos] < code.q0:
-                break
-            state[pos] = 0
-            pos += 1
-        else:
-            break
+    for info in itertools.product(tower.subfield_elements(ctx, "q0"),
+                                  repeat=code.dimension):
+        w = weight(info)
+        if not w:
+            continue
+        checks = [0] * n_checks
+        for u, col in zip(info, info_columns):
+            if u:
+                checks = [ctx.sub(c, ctx.mul(u, a)) for c, a in zip(checks, col)]
+        w += weight(checks)
+        if best is None or w < best:
+            best = w
     return best
 
 
@@ -405,9 +341,7 @@ def weight3_witness_half_odd(code: ZetterbergCode) -> list:
 
     Built from a quartic non-square pair (c1, c2): the discriminant's square
     root lives outside F_q, the two derived elements land in H0 minus {+-1},
-    and signs fold every support position into the half range.  Falls back to
-    the direct weight-3 scan in the (never observed) event of a position
-    collision.
+    and signs fold every support position into the half range.
     """
     ctx = code.ctx
     if ctx.p == 2 or ctx.q0 < 5:
@@ -439,11 +373,11 @@ def weight3_witness_half_odd(code: ZetterbergCode) -> list:
             return t - code.length, ctx.neg(coef)
         return t, coef
 
+    # The three positions are distinct: position 0 is taken only by +-1, which
+    # the asserts above exclude, and zeta1, zeta2 share a position only if
+    # zeta1 = -zeta2.  Then (c1 - c2) * zeta1 = -1 puts zeta1 in
+    # H cap F_q0^*, whose order divides gcd(q + 1, q0 - 1) = 2, so zeta1 = +-1.
     terms = [(0, 1), place(zeta1, c1), place(zeta2, c2)]
-    if len({t for t, _ in terms}) != 3:
-        word = weight3_word(code)  # collision fallback; scan is exhaustive
-        assert word is not None
-        return word
     word = [0] * code.length
     for t, c in terms:
         word[t] = c

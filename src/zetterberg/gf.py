@@ -358,13 +358,14 @@ class Field:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
+        if e == 0:
+            return 1
+        # left-to-right binary: one squaring per bit below the leading one
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
         return result
 
     def inv(self, a: int) -> int:
@@ -433,8 +434,8 @@ class Field:
         if self.k % d:
             raise ValueError("subfield degree must divide k")
         sub_order = self.p**d
-        if sub_order == self.order:
-            return list(range(self.order))
+        if d in (1, self.k):  # the constants, or the whole field
+            return list(range(sub_order))
         els = [0] + self.cyclic_subgroup((self.order - 1) // (sub_order - 1))
         if len(els) != sub_order:
             raise ArithmeticError("subfield enumeration failed")

@@ -78,6 +78,13 @@ def test_quadratic_sum_exhaustive_small_fields():
                     cs.quadratic_char_sum(F, a2, a1, a0)
 
 
+def test_chi_lookup_is_euler_criterion():
+    for F in (Field(3, 1), Field(5, 2), Field(3, 3), Field(13, 1), make_field(3, 1, 2)):
+        chi = cs._chi_lookup(F)
+        assert [chi(x) for x in range(F.order)] == \
+            [chi_field(F, x) for x in range(F.order)]
+
+
 def test_quadratic_sum_rejects_bad_inputs():
     with pytest.raises(PreconditionViolated):
         cs.quadratic_char_sum(Field(5, 1), 0, 1, 1)

@@ -76,6 +76,19 @@ def test_mindist_exhaustive_verified():
     assert data["formula"] == 4 and data["exhaustive"] == 4 and data["verified"]
 
 
+def test_mindist_exhaustive_below_d_is_unverified():
+    # d = 5: a search up to weight 4 that finds nothing agrees with the formula
+    r = run_cli("mindist", "--q0", "2", "--s", "2", "--variant", "full",
+                "--exhaustive", "--max-weight", "4")
+    assert r.returncode == 0 and r.stderr == ""
+    data = json.loads(r.stdout)
+    assert data["exhaustive"] is None and data["verified"] is None
+    # d = 2 is within reach of a weight-2 search, which finds it
+    r = run_cli("mindist", "--q0", "3", "--s", "2", "--variant", "full",
+                "--exhaustive", "--max-weight", "2")
+    assert r.returncode == 0 and json.loads(r.stdout)["verified"] is True
+
+
 def test_mindist_half_q0_3():
     r = run_cli("mindist", "--q0", "3", "--s", "2", "--variant", "half",
                 "--exhaustive")
@@ -165,3 +178,14 @@ def test_internal_value_error_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "covering_radius", broken)
     assert cli.main(["radius", "--q0", "3", "--s", "2"]) == 1
     assert capsys.readouterr().err == "error: internal: kernel fault\n"
+
+
+def test_mindist_contradiction_exits_one(monkeypatch, capsys):
+    # (2, 2, full) has formula d = 5; either search result below contradicts it
+    args = ["mindist", "--q0", "2", "--s", "2", "--variant", "full", "--exhaustive"]
+    for found, max_weight in ((3, "4"), (None, "5")):
+        monkeypatch.setattr(cli, "min_distance_exhaustive", lambda *a, **k: found)
+        assert cli.main(args + ["--max-weight", max_weight]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["verified"] is False
+        assert err == f"error: exhaustive search found d={found}, formula says 5\n"

@@ -57,6 +57,20 @@ def test_syndrome_linearity():
             ctx.add(C.syndrome(code, u), ctx.mul(c, C.syndrome(code, v)))
 
 
+def systematic_basis(code):
+    # H = [I | A]: word j >= 2s is e_j minus column j in the check positions
+    ctx = code.ctx
+    H = C.parity_check_matrix(code)
+    basis = []
+    for j in range(len(H), code.length):
+        vec = [0] * code.length
+        vec[j] = 1
+        for r, row in enumerate(H):
+            vec[r] = ctx.neg(row[j])
+        basis.append(vec)
+    return basis
+
+
 def test_parity_check_rank_and_kernel():
     cases = [(2, 2, "full"), (3, 2, "full"), (4, 2, "full"), (2, 3, "full"),
              (3, 2, "half"), (5, 2, "half")]
@@ -65,11 +79,25 @@ def test_parity_check_rank_and_kernel():
         code = C.build_code(ctx, variant)
         H = C.parity_check_matrix(code)
         assert len(H) == 2 * s and len(H[0]) == code.length
-        assert C.matrix_rank(ctx, H) == 2 * s
-        basis = C.kernel_basis(code)
+        # an identity block in the first 2s columns: rank 2s
+        assert [row[: 2 * s] for row in H] == \
+            [[int(r == c) for c in range(2 * s)] for r in range(2 * s)]
+        basis = systematic_basis(code)
         assert len(basis) == code.dimension
         for vec in basis:
             assert C.contains(code, vec)
+
+
+def test_minimal_polynomial_of_xi():
+    for q0, s in [(2, 1), (2, 3), (3, 2), (4, 2), (5, 3), (9, 2)]:
+        ctx = make_field_for_q0(q0, s)
+        poly = C.minimal_polynomial(ctx)
+        assert len(poly) == 2 * s + 1 and poly[-1] == 1
+        assert set(poly) <= set(subfield_elements(ctx, "q0"))
+        value = 0
+        for c in reversed(poly):  # Horner at xi
+            value = ctx.add(ctx.mul(value, ctx.xi), c)
+        assert value == 0
 
 
 def test_min_distance_formula_table():
@@ -175,7 +203,7 @@ def test_shift_symmetries():
     for q0, s, var in [(4, 2, "full"), (2, 3, "full"), (5, 2, "half"), (3, 2, "half")]:
         ctx = make_field_for_q0(q0, s)
         code = C.build_code(ctx, var)
-        basis = C.kernel_basis(code)
+        basis = systematic_basis(code)
         subs = subfield_elements(ctx, "q0")
         for _ in range(10):
             word = [0] * code.length
@@ -195,18 +223,17 @@ def test_codeword_json():
     assert len(blob["support"]) == 3 == len(blob["coeffs"])
 
 
-def test_subfield_coord_map_round_trip():
-    # x = sum_j a_j * xi^j with the returned coordinates a_j in F_q0
-    rng = random.Random(7)
-    for q0, s in [(3, 2), (4, 2), (9, 2)]:
+def test_parity_check_columns_round_trip():
+    # every column i: sum_r H[r][i] * xi^r = xi^i, with the H[r][i] in F_q0
+    for q0, s, variant in [(3, 2, "full"), (4, 2, "full"), (9, 2, "full"),
+                           (2, 3, "full"), (5, 2, "half")]:
         ctx = make_field_for_q0(q0, s)
-        code = C.build_code(ctx, "full")
-        coords = C._subfield_coord_map(code)
+        code = C.build_code(ctx, variant)
+        H = C.parity_check_matrix(code)
         subs = set(subfield_elements(ctx, "q0"))
-        for x in [0, 1] + [rng.randrange(ctx.order) for _ in range(30)]:
-            a = coords(x)
-            assert len(a) == 2 * s and set(a) <= subs
+        for i, pos in enumerate(code.positions):
             acc = 0
-            for j, aj in enumerate(a):
-                acc = ctx.add(acc, ctx.mul(aj, code.h_powers[j]))
-            assert acc == x
+            for r, row in enumerate(H):
+                assert row[i] in subs
+                acc = ctx.add(acc, ctx.mul(row[i], code.h_powers[r]))
+            assert acc == pos

@@ -48,6 +48,26 @@ def test_pow_adds_exponents(F, data, e1, e2):
 
 
 @over_fields
+def test_pow_small_exponents(F, monkeypatch):
+    # exact values, and the number of multiplications: e = 2 squares once
+    mul, calls = type(F).mul, []
+
+    def counting_mul(self, a, b):
+        calls.append((a, b))
+        return mul(self, a, b)
+
+    monkeypatch.setattr(type(F), "mul", counting_mul)
+    for a in (1, 2, F.order - 1):
+        sq = mul(F, a, a)
+        assert F.pow(a, 0) == 1 and F.pow(a, 1) == a
+        calls.clear()
+        assert F.pow(a, 2) == sq and calls == [(a, a)]
+        calls.clear()
+        assert F.pow(a, 3) == mul(F, sq, a) and len(calls) == 2
+        assert mul(F, a, F.pow(a, -1)) == 1
+
+
+@over_fields
 @bounded
 @given(data=st.data())
 def test_encode_decode_roundtrip(F, data):

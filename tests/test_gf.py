@@ -135,6 +135,13 @@ def test_subfield_fixed_points_closed():
             assert ctx.add(a, b) in fset and ctx.mul(a, b) in fset
 
 
+def test_prime_subfield_is_the_constants():
+    for F in (Field(2, 5), Field(3, 4), Field(7, 2), make_field(5, 1, 2),
+              make_field(3, 2, 2)):
+        walked = sorted([0] + F.cyclic_subgroup((F.order - 1) // (F.p - 1)))
+        assert F.subfield_elements(1) == walked == list(range(F.p))
+
+
 def test_inv_zero_raises():
     F = Field(5, 2)
     with pytest.raises(ZeroDivisionError):
