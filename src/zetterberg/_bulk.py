@@ -18,6 +18,8 @@ import numpy as np
 
 from .gf import Field
 
+_POWERS_BLOCK = 1 << 16  # digit rows per product in `powers`
+
 
 class BulkField:
     """Array-at-a-time companion of a scalar Field."""
@@ -56,10 +58,13 @@ class BulkField:
     def encode(self, digits: np.ndarray) -> np.ndarray:
         return (digits % self.p) @ self._pk
 
-    def _digits(self, codes: np.ndarray) -> np.ndarray:
+    def _exact_dtype(self):
         if self._dtype is None:
             raise ValueError(f"{self.F} is too large for exact float digit kernels")
-        return self.decode(codes).astype(self._dtype)
+        return self._dtype
+
+    def _digits(self, codes: np.ndarray) -> np.ndarray:
+        return self.decode(codes).astype(self._exact_dtype())
 
     def _codes(self, digits: np.ndarray) -> np.ndarray:
         # digits are reduced mod p; float64 holds every code exactly
@@ -182,34 +187,69 @@ class BulkField:
         return self.add_const(codes, self.F.neg(c))
 
     def mul_const(self, codes: np.ndarray, c: int) -> np.ndarray:
-        """codes * c: shifts and xors in characteristic 2, else a one-row mul."""
+        """codes * c.
+
+        In characteristic 2 the product is F_2-linear in the bits of the
+        code: with the constants c*X^j (j < k), one 256-entry xor table per
+        byte of the code turns the product into ceil(k/8) gathers.  Else a
+        one-row mul.
+        """
         if self.p == 2:
-            res = np.zeros_like(codes)
-            cur = codes.copy()
-            k, mod2 = self.k, self.F._mod2
-            cc = c
-            while cc:
-                if cc & 1:
-                    res ^= cur
-                cc >>= 1
-                if cc:
-                    cur = cur << 1
-                    overflow = (cur >> k) & 1
-                    cur ^= overflow * mod2
+            cx = [c]
+            for _ in range(self.k - 1):
+                cx.append(self.F.mul(cx[-1], 2))  # code 2 is X
+            idx = np.empty_like(codes)
+            res = None
+            for b in range(0, self.k, 8):
+                table = np.zeros(1 << len(cx[b:b + 8]), dtype=np.int64)
+                for i, v in enumerate(cx[b:b + 8]):
+                    table[1 << i:2 << i] = table[:1 << i] ^ v
+                np.right_shift(codes, b, out=idx)
+                idx &= 0xFF
+                if res is None:
+                    res = table[idx]
+                else:
+                    res ^= table[idx]
             return res
         return self.mul(codes, np.array([c]))
 
     # -- group enumeration and character tables
 
     def powers(self, base: int, n: int) -> np.ndarray:
-        """Codes of base^j for 0 <= j < n, by doubling."""
+        """Codes of base^j for 0 <= j < n, by doubling: powers [f, f + span)
+        are powers [0, span) times base^f.
+
+        In characteristic 2 a doubling step is one mul_const on codes.  For
+        odd p it runs on float digit rows, so no code is decoded: a step is
+        a product with the digit matrix of y -> y * base^f, in blocks of
+        _POWERS_BLOCK rows, each block encoded once.  Only the rows below
+        the largest power of 2 under n are kept, since the last step reads
+        no row it writes.  Raises ValueError on fields too large for exact
+        float digits (n >= 2).
+        """
         out = np.empty(n, dtype=np.int64)
         out[:1] = 1
+        if n < 2:
+            return out
+        if self.p != 2:
+            kept = 1 << ((n - 1).bit_length() - 1)
+            digits = np.zeros((kept, self.k), dtype=self._exact_dtype())
+            digits[0, 0] = 1
         filled = 1
         while filled < n:
             c = self.F.pow(base, filled)
             span = min(filled, n - filled)
-            out[filled:filled + span] = self.mul_const(out[:span], c)
+            if self.p == 2:
+                out[filled:filled + span] = self.mul_const(out[:span], c)
+                filled += span
+                continue
+            shift = (self._digits(np.array([c])) @ self._shift_matrix).reshape(self.k, self.k)
+            for i in range(0, span, _POWERS_BLOCK):
+                e = min(i + _POWERS_BLOCK, span)
+                rows = self._reduce(digits[i:e] @ shift)  # as in _mul
+                out[filled + i:filled + e] = self._codes(rows)
+                if filled < kept:
+                    digits[filled + i:filled + e] = rows
             filled += span
         return out
 
@@ -227,8 +267,10 @@ class BulkField:
         return chi
 
     def build_log_table(self, exp: np.ndarray) -> np.ndarray:
-        log = np.zeros(self.order, dtype=np.int64)
-        log[exp] = np.arange(self.order - 1, dtype=np.int64)
+        """log[code] = j with exp[j] = code (log[0] = 0); int32 below 2^31."""
+        dtype = np.int32 if self.order < 2**31 else np.int64
+        log = np.zeros(self.order, dtype=dtype)
+        log[exp] = np.arange(self.order - 1, dtype=dtype)
         return log
 
     def build_trace_table_char2(self, sub_degree: int) -> np.ndarray:

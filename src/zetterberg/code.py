@@ -251,8 +251,10 @@ def weight4_word(code: ZetterbergCode, caps: Caps) -> list | None:
     return None
 
 
-def _enumerate_min_weight(code: ZetterbergCode, caps: Caps) -> int | None:
-    """Exact minimum weight by enumerating all codewords (tiny dimensions).
+def _enumerate_min_weight(code: ZetterbergCode, caps: Caps, lower: int) -> int | None:
+    """Exact minimum weight by enumerating the codewords (tiny dimensions),
+    given that no nonzero codeword is lighter than `lower`: the walk stops
+    at the first word of that weight.
 
     H = [I | A], so the information symbols sit at positions >= 2s and the
     check symbols of a word are minus the A-columns weighted by them."""
@@ -278,6 +280,8 @@ def _enumerate_min_weight(code: ZetterbergCode, caps: Caps) -> int | None:
         w += weight(checks)
         if best is None or w < best:
             best = w
+            if best <= lower:
+                break
     return best
 
 
@@ -286,8 +290,9 @@ def min_distance_exhaustive(code: ZetterbergCode, max_weight: int = 4,
     """Least weight of a nonzero codeword if <= max_weight, else None.
 
     Weight 2 and 3 use the normalized scans above, weight 4 the
-    meet-in-the-middle search; higher weights fall back to full codeword
-    enumeration (only feasible for tiny dimensions).
+    meet-in-the-middle search; higher weights fall back to codeword
+    enumeration (only feasible for tiny dimensions), which stops at the
+    first word of weight 5 since the searches before it rule out less.
     """
     caps = caps or code.ctx.caps
     if max_weight < 2:
@@ -299,7 +304,7 @@ def min_distance_exhaustive(code: ZetterbergCode, max_weight: int = 4,
     if max_weight >= 4 and weight4_word(code, caps) is not None:
         return 4
     if max_weight >= 5:
-        d = _enumerate_min_weight(code, caps)
+        d = _enumerate_min_weight(code, caps, lower=5)
         if d is not None and d <= max_weight:
             return d
     return None

@@ -254,65 +254,119 @@ def _scan_blocks(n1: int, lazy: int) -> list[tuple[int, int]]:
     return list(zip([0] + cuts[:-1], cuts))
 
 
-def _odd_scan(K: Field, q0: int, budget: _EvalBudget, count_all: bool):
-    """Witnesses x in F_q^* minus the q0-squares with x*(x-beta) always square.
+def _survivors(cur: np.ndarray, n_tests: int, passes, budget: _EvalBudget) -> np.ndarray:
+    """The entries of cur that pass tests 0, 1, ..., n_tests-1 in order.
 
-    Enumerates x as ascending powers of the generator; returns
-    (first witness or None, count) with count only exact when count_all.
+    passes(cur, t0, t1) is the (len(cur), t1 - t0) pass matrix of tests
+    [t0, t1).  The tests run one at a time until the survivors times the
+    tests left fit in the size of the first test; the rest is then one 2-D
+    call.  Either way the budget is charged, call by call, what a loop of
+    one test at a time charges: the entries still alive before each test,
+    read off a cumulative AND along the test axis.
+    """
+    first, t = cur.size, 0
+    while cur.size and t < n_tests:
+        width = n_tests - t if cur.size * (n_tests - t) <= first else 1
+        ok = passes(cur, t, t + width)
+        if width > 1:
+            ok = np.logical_and.accumulate(ok, axis=1)
+        for n in [cur.size, *ok[:, :-1].sum(axis=0)]:
+            if n == 0:
+                break
+            budget.spend(int(n))
+        cur = cur[ok[:, -1]]
+        t += width
+    return cur
+
+
+def _zech_squares(bf: BulkField, exp: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """good[i]: y (y - 1) is a nonzero square for y = g^i = exp[i].
+
+    y - 1 differs from y in digit 0 only, so its code is exp[i] - 1, or
+    exp[i] + p - 1 where digit 0 is 0; and chi(y) = (-1)^i.  Built in
+    blocks of even length, so the parity pattern starts even in each.
+    """
+    p, n1 = bf.p, exp.size
+    good = np.empty(n1, dtype=bool)
+    for i in range(0, n1, 1 << 20):
+        e = exp[i:i + (1 << 20)]
+        t = chi[e - 1 + p * (e % p == 0)]
+        t[1::2] *= -1
+        good[i:i + e.size] = t == 1
+    return good
+
+
+def _odd_scan(K: Field, q0: int, budget: _EvalBudget, count_all: bool):
+    """Witnesses x in F_q^* minus the q0-squares with x*(x-beta) a square
+    for every nonzero square beta of F_q0.
+
+    Enumerates x = g^j in ascending j; returns (first witness or None,
+    count) with count only exact when count_all.  Candidates travel as
+    log indices j; the q0-squares are the j divisible by d = 2(q-1)/(q0-1),
+    and the betas are the g^(i*d), tested in ascending code order.
     The first (q-1) >> 8 powers come from a short exp prefix and chi is
-    evaluated per element; the full exp and chi tables are built only when
-    that prefix holds no witness (at once when counting), and the scan goes
-    on from the end of the prefix by table lookup.
+    evaluated per element; the full tables are built only when that prefix
+    holds no witness (at once when counting).  From there on the scan runs
+    in the log domain: x*(x-beta) = beta^2 * y*(y-1) with y = x/beta =
+    g^(j - log beta), so each test is one lookup in the Zech table of
+    `_zech_squares`, with no field arithmetic.
     """
     n1 = K.order - 1
-    # the nonzero squares of F_q0 are the subgroup of order (q0-1)/2
-    squares = sorted(K.cyclic_subgroup(2 * n1 // (q0 - 1)))
-    sq_arr = np.array(squares, dtype=np.int64)
+    d = 2 * n1 // (q0 - 1)
+    # the nonzero squares of F_q0 are the subgroup <g^d>; element i is g^(i*d)
+    sq = np.array(K.cyclic_subgroup(d), dtype=np.int64)
+    by_code = np.argsort(sq)
+    betas, beta_logs = sq[by_code], by_code * d
     lazy = 0 if count_all else n1 >> 8
     bf = BulkField(K)
     exp = bf.build_exp(lazy) if lazy else None
-    chi = None  # the full table, once built
+    beta_digits = bf.decode(betas)
+
+    def prefix_passes(j, t0, t1):
+        # chi(x - beta) == chi(x) = (-1)^j, one chi call for all the pairs
+        x = bf.decode(exp[j])
+        y = bf.encode(x[:, None, :] - beta_digits[None, t0:t1, :])
+        signs = 1 - 2 * (j & 1)
+        return bf.chi(y.ravel()).reshape(y.shape) == signs[:, None]
+
+    def table_passes(j, t0, t1):
+        # good[(j - log beta) mod (q-1)]; a negative index wraps by q-1
+        return good[j[:, None] - beta_logs[None, t0:t1]]
+
+    passes = prefix_passes
     first = None
     count = 0
     for j0, j1 in _scan_blocks(n1, lazy):
         if j0 == lazy:
             exp = bf.build_exp()
-            chi = bf.build_chi_table(exp)
-        codes = exp[j0:j1]
-        signs = np.where((np.arange(j0, j1) & 1) == 0, 1, -1).astype(np.int8)
-        keep = ~np.isin(codes, sq_arr)
-        cur_codes = codes[keep]
-        cur_signs = signs[keep]
-        for beta in squares:
-            if cur_codes.size == 0:
-                break
-            budget.spend(int(cur_codes.size))
-            y = bf.sub_const(cur_codes, beta)
-            ok = (bf.chi(y) if chi is None else chi[y]) == cur_signs
-            cur_codes = cur_codes[ok]
-            cur_signs = cur_signs[ok]
-        if cur_codes.size:
+            good = _zech_squares(bf, exp, bf.build_chi_table(exp))
+            passes = table_passes
+        j = np.arange(j0, j1)
+        cur = _survivors(j[j % d != 0], betas.size, passes, budget)
+        if cur.size:
             if first is None:
-                first = int(cur_codes[0])
-            count += int(cur_codes.size)
+                first = int(exp[cur[0]])
+            count += int(cur.size)
             if not count_all:
                 return first, count
     return first, count
 
 
 def _even_scan(K: Field, q0: int, budget: _EvalBudget):
-    """First alpha outside F_q0 with zero trace and all 1/(1+b*alpha) traces
-    in {0, 1}, enumerated as ascending powers of the generator.
+    """First alpha = g^j outside F_q0 with zero trace and all 1/(1+b*alpha)
+    traces in {0, 1}, in ascending j.
 
+    F_q0^* is the subgroup of the g^j with j divisible by (q-1)/(q0-1).
     As in _odd_scan, the first (q-1) >> 8 powers are tested per element
     (trace, inverse and product kernels); the exp, log and trace tables are
-    built only when that prefix holds no witness.
+    built only when that prefix holds no witness, and the products are then
+    log-table lookups.  (A log-domain table of Tr(1/(1+g^i)) was tried and
+    is slower: it needs extra log and inverse scatters.)
     """
     m = q0.bit_length() - 1
-    sub = K.subfield_elements(m)
-    sub_nonzero = [c for c in sub if c]
-    sub_arr = np.array(sub, dtype=np.int64)
+    sub_nonzero = [c for c in K.subfield_elements(m) if c]
     n1 = K.order - 1
+    sub_step = n1 // (q0 - 1)
     lazy = n1 >> 8
     bf = BulkField(K)
     exp = bf.build_exp(lazy) if lazy else None
@@ -324,7 +378,7 @@ def _even_scan(K: Field, q0: int, budget: _EvalBudget):
             tr = bf.build_trace_table_char2(m)
         codes = exp[j0:j1]
         tr_codes = bf.trace(codes, m) if tr is None else tr[codes]
-        cur = codes[(tr_codes == 0) & ~np.isin(codes, sub_arr)]
+        cur = codes[(tr_codes == 0) & (np.arange(j0, j1) % sub_step != 0)]
         for b in sub_nonzero:
             if cur.size == 0:
                 break

@@ -75,6 +75,35 @@ def test_powers_and_frobenius_match_scalar():
                 assert int(frob[y]) == F.pow(y, p**e)
 
 
+@pytest.mark.parametrize("p,k,dtype", [(3, 12, np.float32), (101, 3, np.float64)])
+def test_odd_powers_match_scalar(p, k, dtype):
+    # n = 2^17 + 2^16 + 5 and order - 1 run doubling steps of more than one
+    # 2^16-row block and end past the kept digit rows
+    F = Field(p, k)
+    bf = BulkField(F)
+    assert bf._dtype is dtype
+    base = F.generator
+    full = bf.powers(base, F.order - 1)
+    assert np.unique(full).size == F.order - 1
+    for n in (0, 1, 2, 3, 4, 5, 64, 65, 1 << 16, (1 << 16) + 1, (1 << 17) + (1 << 16) + 5):
+        assert (bf.powers(base, n) == full[:n]).all()
+    rng = random.Random(p * k)
+    seams = [j + d for j in (1 << 16, 1 << 17, 1 << 18, 1 << 19) for d in (-1, 0, 1)]
+    for j in [0, 1, 2, 3, F.order - 2] + seams + [rng.randrange(F.order - 1) for _ in range(200)]:
+        assert int(full[j]) == F.pow(base, j)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 16, 17, 21, 22])
+def test_char2_mul_const_matches_scalar(k):
+    F = Field(2, k)
+    bf = BulkField(F)
+    rng = random.Random(k)
+    codes = np.array([0, 1, F.order - 1] + [rng.randrange(F.order) for _ in range(300)],
+                     dtype=np.int64)
+    for c in (0, 1, F.generator, F.order - 1):
+        assert bf.mul_const(codes, c).tolist() == [F.mul(int(a), c) for a in codes]
+
+
 def test_exp_prefix_matches_full_table():
     bf = BulkField(Field(5, 3))
     full = bf.build_exp()
@@ -153,6 +182,8 @@ def test_digit_kernels_refuse_inexact_fields():
         bf.mul(codes, codes)
     with pytest.raises(ValueError):
         bf.chi(codes)
+    with pytest.raises(ValueError):
+        bf.powers(2, 5)
 
 
 def _scalar_layers(F, steps):

@@ -428,7 +428,9 @@ def _naive_scan(q0, s):
 def test_scan_matches_naive_double_loops():
     # decision, first witness in scan order, witness count, and the exact
     # budget of every exhaustive scan
-    for q0, s in [(3, 2), (5, 2), (13, 3), (17, 3), (4, 5), (16, 3)]:
+    # (19,3) and (23,3) are rho=2 with a nonempty lazy prefix, so their
+    # table phase starts after a prefix scanned element by element
+    for q0, s in [(3, 2), (5, 2), (13, 3), (17, 3), (19, 3), (23, 3), (4, 5), (16, 3)]:
         naive, spent = _naive_scan(q0, s)
         rep = R.rho_criterion(q0, s)
         assert rep.rho == (3 if naive else 2)
@@ -449,6 +451,43 @@ def test_scan_matches_naive_double_loops():
             else:
                 assert R._even_scan(K, q0, budget) is None
             assert budget.used == spent
+
+
+def test_early_exit_budget_pinned():
+    # evaluations charged by rho=3 scans that stop in the lazy prefix, where
+    # the last tests of a block run as one 2-D call; one evaluation less of
+    # scan_cap stops each scan with SizeCapExceeded
+    for (q0, s), used in {(1849, 2): 15229, (19, 5): 9518, (43, 4): 13218}.items():
+        K = R._criterion_field(q0, s, Caps(), 0)
+        budget = R._EvalBudget(Caps().scan_cap)
+        assert R._odd_scan(K, q0, budget, count_all=False)[0] is not None
+        assert budget.used == used
+        with pytest.raises(SizeCapExceeded):
+            R._odd_scan(K, q0, R._EvalBudget(used - 1), count_all=False)
+
+
+def test_odd_table_phase_does_no_field_arithmetic(monkeypatch):
+    # once the full tables exist, each test is a Zech-table lookup on log
+    # indices: no per-beta subtraction, no digit decoding
+    built = []
+    build_chi_table = BulkField.build_chi_table
+
+    def chi_table(bf, exp):
+        built.append(True)
+        return build_chi_table(bf, exp)
+
+    def refuse(fn):
+        def guarded(*args, **kwargs):
+            if built:
+                raise AssertionError(f"{fn.__name__} called in the table phase")
+            return fn(*args, **kwargs)
+        return guarded
+
+    monkeypatch.setattr(BulkField, "build_chi_table", chi_table)
+    monkeypatch.setattr(BulkField, "sub_const", refuse(BulkField.sub_const))
+    monkeypatch.setattr(BulkField, "decode", refuse(BulkField.decode))
+    assert R.witness_count_odd(7, 3) == 39
+    assert built
 
 
 def test_criterion_witnesses_pinned():
