@@ -14,6 +14,7 @@ subgroup exponents and xi), so every Field method applies to it directly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cached_property, lru_cache
 
@@ -139,13 +140,12 @@ def _poly_mulmod(a, b, f, p):
 
 
 def _poly_powmod(a, e, f, p):
-    result = (1,)
-    base = a
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, f, p)
-        base = _poly_mulmod(base, base, f, p)
-        e >>= 1
+    # a^e mod f for e >= 1; left-to-right binary, as in Field.pow
+    result = a
+    for bit in bin(e)[3:]:
+        result = _poly_mulmod(result, result, f, p)
+        if bit == "1":
+            result = _poly_mulmod(result, a, f, p)
     return result
 
 
@@ -169,33 +169,16 @@ def _poly_gcd(a, b, p):
 
 
 def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Deterministic test: X^(p^n) == X mod f and gcd(X^(p^(n/r)) - X, f) = 1."""
-    n = len(f) - 1
-    if n < 1 or f[-1] != 1:
-        return False
-    if n == 1:
-        return True
-    if f[0] == 0:
-        return False  # divisible by X
-    x = (0, 1)
-    # checkpoints n/r for primes r | n, ascending, so cheap factors exit early
-    checkpoints = sorted({n // r for r, _ in factorize(n)})
-    t = x
-    i = 0
-    for cp in checkpoints:
-        while i < cp:
-            t = _poly_powmod(t, p, f, p)
-            i += 1
-        g = list(t)
-        while len(g) < 2:
-            g.append(0)
-        g[1] = (g[1] - 1) % p  # t - X
+    """Ben-Or's test for a monic f of degree n >= 1: gcd(X^(p^i) - X, f) = 1
+    for i = 1 .. n/2, since a reducible f has a factor of degree <= n/2."""
+    t = (0, 1)
+    for _ in range((len(f) - 1) // 2):
+        t = _poly_powmod(t, p, f, p)  # X^(p^i) mod f
+        g = list(t) + [0] * (2 - len(t))
+        g[1] = (g[1] - 1) % p
         if _poly_gcd(_poly_trim(g), f, p) != (1,):
             return False
-    while i < n:
-        t = _poly_powmod(t, p, f, p)
-        i += 1
-    return t == x
+    return True
 
 
 def find_irreducible(p: int, n: int, skip: int = 0) -> tuple[int, ...]:
@@ -210,22 +193,13 @@ def find_irreducible(p: int, n: int, skip: int = 0) -> tuple[int, ...]:
         raise ValueError(f"p={p} is not prime")
     if n < 1:
         raise ValueError("degree must be >= 1")
-    remaining = skip
-    # z < p^(n-1) means constant term 0, reducible for n >= 2
-    start = 0 if n == 1 else p ** (n - 1)
-    for z in range(start, p**n):
-        # big-endian digits of z give (c0, ..., c_{n-1})
-        digits = []
-        zz = z
-        for _ in range(n):
-            digits.append(zz % p)
-            zz //= p
-        digits.reverse()
-        f = tuple(digits) + (1,)
+    # c0 = 0 means X | f, reducible for n >= 2
+    for coeffs in itertools.product(range(1 if n > 1 else 0, p), *[range(p)] * (n - 1)):
+        f = coeffs + (1,)
         if _is_irreducible(f, p):
-            if remaining == 0:
+            if skip == 0:
                 return f
-            remaining -= 1
+            skip -= 1
     raise ArithmeticError("no irreducible polynomial found")  # unreachable
 
 
@@ -246,31 +220,25 @@ class Field:
             raise ValueError("extension degree must be >= 1")
         if modulus is None:
             modulus = find_irreducible(p, k)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree k")
-        if not _is_irreducible(modulus, p):
-            raise ValueError("modulus is not irreducible")
+        else:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != k + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree k")
+            if not _is_irreducible(modulus, p):
+                raise ValueError("modulus is not irreducible")
         self.p = p
         self.k = k
         self.order = p**k
         self.modulus = modulus
-        self._pk = [p**i for i in range(k + 1)]
         if p == 2:
             # full modulus bit pattern, including the X^k term
             self._mod2 = sum(c << i for i, c in enumerate(modulus))
         else:
             # reduction rows: digits of X^(k+j) mod f for j = 0..k-2
-            rows = []
-            cur = [(-c) % p for c in modulus[:k]]  # X^k mod f
-            rows.append(tuple(cur))
-            for _ in range(k - 2):
-                top = cur[-1]
-                cur = [0] + cur[:-1]
-                if top:
-                    for i in range(k):
-                        cur[i] = (cur[i] - top * modulus[i]) % p
-                rows.append(tuple(cur))
+            rows, cur = [], (0,) * (k - 1) + (1,)
+            for _ in range(k - 1):
+                cur = _poly_mulmod(cur, (0, 1), modulus, p)
+                rows.append(cur + (0,) * (k - len(cur)))
             self._red = rows
 
     # -- representation
@@ -490,8 +458,7 @@ class FieldContext(Field):
     Immutable after construction; safe to share across threads.
     """
 
-    def __init__(self, p: int, m: int, s: int, caps: Caps = DEFAULT_CAPS,
-                 modulus_skip: int = 0):
+    def __init__(self, p: int, m: int, s: int, caps: Caps = DEFAULT_CAPS):
         if not is_prime(p):
             raise ValueError(f"p={p} is not prime")
         if m < 1 or s < 1:
@@ -501,7 +468,7 @@ class FieldContext(Field):
         if order > caps.max_ambient_order:
             raise SizeCapExceeded(
                 f"ambient order p^(2sm) = {order} exceeds cap {caps.max_ambient_order}")
-        super().__init__(p, n, find_irreducible(p, n, skip=modulus_skip))
+        super().__init__(p, n)
         self.m = m
         self.s = s
         self.q0 = p**m
@@ -532,20 +499,18 @@ class FieldContext(Field):
 
 
 @lru_cache(maxsize=64)
-def _cached_context(p: int, m: int, s: int, caps: Caps, modulus_skip: int) -> FieldContext:
-    return FieldContext(p, m, s, caps=caps, modulus_skip=modulus_skip)
+def _cached_context(p: int, m: int, s: int, caps: Caps) -> FieldContext:
+    return FieldContext(p, m, s, caps=caps)
 
 
-def make_field(p: int, m: int, s: int, caps: Caps = DEFAULT_CAPS,
-               modulus_skip: int = 0) -> FieldContext:
+def make_field(p: int, m: int, s: int, caps: Caps = DEFAULT_CAPS) -> FieldContext:
     """Build the ambient context for (q0, s) with q0 = p^m.
 
     Contexts are immutable, so identical parameter sets share one instance.
     """
-    return _cached_context(p, m, s, caps, modulus_skip)
+    return _cached_context(p, m, s, caps)
 
 
-def make_field_for_q0(q0: int, s: int, caps: Caps = DEFAULT_CAPS,
-                      modulus_skip: int = 0) -> FieldContext:
+def make_field_for_q0(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> FieldContext:
     p, m = prime_power_split(q0)
-    return _cached_context(p, m, s, caps, modulus_skip)
+    return _cached_context(p, m, s, caps)

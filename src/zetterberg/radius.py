@@ -26,7 +26,7 @@ from ._bulk import BulkField
 from .caps import DEFAULT_CAPS, Caps
 from .errors import (FormulaMismatch, PreconditionViolated, SizeCapExceeded,
                      Undecidable)
-from .gf import Field, FieldContext, find_irreducible, make_field_for_q0, prime_power_split
+from .gf import Field, FieldContext, make_field_for_q0, prime_power_split
 from . import thresholds, tower
 
 _BLOCK = 1 << 15  # scan block length once the full tables are built
@@ -237,12 +237,12 @@ class _EvalBudget:
                 f"criterion scan exceeded {self.cap} character evaluations")
 
 
-def _criterion_field(q0: int, s: int, caps: Caps, modulus_skip: int) -> Field:
+def _criterion_field(q0: int, s: int, caps: Caps) -> Field:
     p, m = prime_power_split(q0)
     if q0**s > caps.criterion_order_cap:
         raise SizeCapExceeded(
             f"q = {q0 ** s} exceeds criterion cap {caps.criterion_order_cap}")
-    return Field(p, s * m, find_irreducible(p, s * m, skip=modulus_skip))
+    return Field(p, s * m)
 
 
 def _scan_blocks(n1: int, lazy: int) -> list[tuple[int, int]]:
@@ -403,15 +403,14 @@ def _check_parity(q0: int, odd: bool):
         raise PreconditionViolated("even q0 required")
 
 
-def _criterion_report(q0: int, s: int, caps: Caps, modulus_skip: int,
-                      odd: bool) -> RadiusReport:
+def _criterion_report(q0: int, s: int, caps: Caps, odd: bool) -> RadiusReport:
     """rho in {2,3} for s >= 2 from the parity's scan over F_q: 3 exactly
     when the scan finds a witness."""
     t0 = time.perf_counter()
     _check_parity(q0, odd)
     if s < 2:
         raise PreconditionViolated("criterion applies for s >= 2")
-    K = _criterion_field(q0, s, caps, modulus_skip)
+    K = _criterion_field(q0, s, caps)
     budget = _EvalBudget(caps.scan_cap)
     if odd:
         witness, _ = _odd_scan(K, q0, budget, count_all=False)
@@ -424,30 +423,26 @@ def _criterion_report(q0: int, s: int, caps: Caps, modulus_skip: int,
         elapsed_ms=(time.perf_counter() - t0) * 1e3)
 
 
-def rho_criterion_odd(q0: int, s: int, caps: Caps = DEFAULT_CAPS,
-                      modulus_skip: int = 0) -> RadiusReport:
+def rho_criterion_odd(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> RadiusReport:
     """rho in {2,3} for odd q0, s >= 2, via the square-pattern scan over F_q."""
-    return _criterion_report(q0, s, caps, modulus_skip, odd=True)
+    return _criterion_report(q0, s, caps, odd=True)
 
 
-def rho_criterion_even(q0: int, s: int, caps: Caps = DEFAULT_CAPS,
-                       modulus_skip: int = 0) -> RadiusReport:
+def rho_criterion_even(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> RadiusReport:
     """rho in {2,3} for even q0, s >= 2, via the trace-pattern scan over F_q."""
-    return _criterion_report(q0, s, caps, modulus_skip, odd=False)
+    return _criterion_report(q0, s, caps, odd=False)
 
 
-def rho_criterion(q0: int, s: int, caps: Caps = DEFAULT_CAPS,
-                  modulus_skip: int = 0) -> RadiusReport:
-    return _criterion_report(q0, s, caps, modulus_skip, odd=q0 % 2 == 1)
+def rho_criterion(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> RadiusReport:
+    return _criterion_report(q0, s, caps, odd=q0 % 2 == 1)
 
 
-def witness_count_odd(q0: int, s: int, caps: Caps = DEFAULT_CAPS,
-                      modulus_skip: int = 0) -> int:
+def witness_count_odd(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> int:
     """Number of scan witnesses; positive exactly when rho = 3."""
     _check_parity(q0, odd=True)
     if s < 3 or s % 2 == 0:
         raise PreconditionViolated("witness counting is stated for odd s >= 3")
-    K = _criterion_field(q0, s, caps, modulus_skip)
+    K = _criterion_field(q0, s, caps)
     budget = _EvalBudget(caps.scan_cap)
     _, count = _odd_scan(K, q0, budget, count_all=True)
     return count

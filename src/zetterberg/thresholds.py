@@ -122,13 +122,16 @@ class RangeCheck:
         return not self.applicable or (bool(self.interval_ok) and bool(self.difference_ok))
 
 
-def threshold_range_check_odd(q0: int, guard: float = 1e-9) -> RangeCheck:
+_ENDPOINT_BAND = 1e-9
+
+
+def threshold_range_check_odd(q0: int) -> RangeCheck:
     """For odd q0 >= 13: s_* sits in the predicted log-interval and the two
     counting thresholds differ by 0 or 2.
 
     Interval endpoints are irrational; they are evaluated in double precision
-    with a relative guard band, and a value inside the band is reported as
-    boundary-ambiguous instead of asserted either way.
+    with a relative band of _ENDPOINT_BAND around each, and a value inside a
+    band is reported as boundary-ambiguous instead of asserted either way.
     """
     if q0 % 2 == 0:
         raise ValueError("odd q0 required")
@@ -138,8 +141,8 @@ def threshold_range_check_odd(q0: int, guard: float = 1e-9) -> RangeCheck:
     s_pr = s_prime_star_odd(q0)
     lo = (q0 * math.log(2) - 5) / math.log(q0) + 2
     hi = (q0 * math.log(2) - 5 * math.log(2)) / math.log(q0) + 4
-    band_lo = abs(lo) * guard
-    band_hi = abs(hi) * guard
+    band_lo = abs(lo) * _ENDPOINT_BAND
+    band_hi = abs(hi) * _ENDPOINT_BAND
     ambiguous = abs(s_up - lo) <= band_lo or abs(s_up - hi) <= band_hi
     interval_ok = lo < s_up < hi
     diff_ok = s_pr - s_up in (0, 2)

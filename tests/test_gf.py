@@ -1,8 +1,10 @@
+import itertools
 import json
 import random
 
 import pytest
 
+from zetterberg import gf
 from zetterberg.caps import Caps
 from zetterberg.errors import SizeCapExceeded
 from zetterberg.gf import (Field, factorize, find_irreducible, is_prime,
@@ -42,6 +44,74 @@ def test_find_irreducible_deterministic_and_skippable():
     assert alt != a and alt[-1] == 1
 
 
+def _has_monic_factor(f, p, d):
+    # trial division of f by every monic polynomial of degree d
+    n = len(f) - 1
+    for low in itertools.product(range(p), repeat=d):
+        g = low + (1,)
+        r = list(f)
+        for top in range(n, d - 1, -1):
+            c = r[top]
+            if c:
+                for j in range(d + 1):
+                    r[top - d + j] = (r[top - d + j] - c * g[j]) % p
+        if not any(r):
+            return True
+    return False
+
+
+def test_is_irreducible_matches_trial_division():
+    # every monic polynomial of each degree: irreducible exactly when no monic
+    # factor of degree 1 .. n/2 divides it
+    for p, degrees in [(2, range(1, 6)), (3, range(1, 5)), (5, range(1, 4))]:
+        for n in degrees:
+            for low in itertools.product(range(p), repeat=n):
+                f = low + (1,)
+                brute = not any(_has_monic_factor(f, p, d) for d in range(1, n // 2 + 1))
+                assert gf._is_irreducible(f, p) == brute, f
+
+
+def test_field_rejects_bad_modulus():
+    with pytest.raises(ValueError, match="not irreducible"):
+        Field(3, 2, (-1, 0, 1))  # X^2 - 1 = (X - 1)(X + 1)
+    with pytest.raises(ValueError, match="not irreducible"):
+        Field(2, 4, (1, 0, 1, 0, 1))  # (X^2 + X + 1)^2
+    with pytest.raises(ValueError, match="monic"):
+        Field(5, 2, (2, 0, 2))
+    with pytest.raises(ValueError, match="monic"):
+        Field(5, 2, (2, 1))
+
+
+def test_poly_powmod_squares_once_per_bit(monkeypatch):
+    calls = []
+    mulmod = gf._poly_mulmod
+
+    def counted(*args):
+        calls.append(args)
+        return mulmod(*args)
+
+    monkeypatch.setattr(gf, "_poly_mulmod", counted)
+    f = find_irreducible(3, 4)
+    x = (0, 1)
+    for e, n_calls in [(2, 1), (3, 2)]:
+        calls.clear()
+        assert gf._poly_powmod(x, e, f, 3) == (0,) * e + (1,)
+        assert len(calls) == n_calls
+
+
+def test_found_modulus_is_not_tested_again(monkeypatch):
+    modulus = find_irreducible(7, 3)
+
+    def refuse(*_args):
+        raise AssertionError("found modulus tested again")
+
+    monkeypatch.setattr(gf, "find_irreducible", lambda p, k: modulus)
+    monkeypatch.setattr(gf, "_is_irreducible", refuse)
+    F = Field(7, 3)
+    assert F.modulus == modulus
+    assert F.mul(F.generator, F.inv(F.generator)) == 1
+
+
 def test_make_field_subgroup_orders():
     assert make_field(2, 1, 2).subgroup_order("H") == 5
     assert make_field(3, 1, 2).subgroup_order("H") == 10
@@ -78,7 +148,6 @@ def test_generator_matches_brute_force_scan():
 def test_make_field_for_q0_is_cached():
     assert make_field_for_q0(9, 2) is make_field_for_q0(9, 2)
     assert make_field_for_q0(9, 2) is make_field(3, 2, 2)
-    assert make_field_for_q0(9, 2, modulus_skip=1) is not make_field_for_q0(9, 2)
 
 
 def test_field_axioms_randomized():

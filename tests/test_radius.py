@@ -11,7 +11,8 @@ from zetterberg._bulk import BulkField, covering_layers
 from zetterberg.caps import Caps
 from zetterberg.errors import (PreconditionViolated, SizeCapExceeded, Undecidable,
                                ZetterbergError)
-from zetterberg.gf import factorize, make_field_for_q0
+from zetterberg.gf import (Field, factorize, find_irreducible, make_field_for_q0,
+                           prime_power_split)
 from zetterberg.tower import subfield_elements, subgroup_elements
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -230,13 +231,18 @@ def test_criterion_preconditions():
 
 
 def test_criterion_representation_independent():
-    # a second ambient representation (next irreducible modulus) must agree
-    for q0, s in [(13, 3), (17, 3)]:
-        assert R.rho_criterion_odd(q0, s, modulus_skip=1).rho == \
-            R.rho_criterion_odd(q0, s).rho
-    for q0, s in [(4, 5), (8, 3)]:
-        assert R.rho_criterion_even(q0, s, modulus_skip=1).rho == \
-            R.rho_criterion_even(q0, s).rho
+    # the scan on F_q built from the next irreducible modulus must decide the
+    # same rho as the default representation
+    for q0, s in [(13, 3), (17, 3), (4, 5), (8, 3)]:
+        p, m = prime_power_split(q0)
+        K = Field(p, s * m, find_irreducible(p, s * m, skip=1))
+        assert K.modulus != R._criterion_field(q0, s, Caps()).modulus
+        budget = R._EvalBudget(Caps().scan_cap)
+        if q0 % 2:
+            witness = R._odd_scan(K, q0, budget, count_all=False)[0]
+        else:
+            witness = R._even_scan(K, q0, budget)
+        assert (3 if witness is not None else 2) == R.rho_criterion(q0, s).rho
 
 
 def test_witness_count_odd():
@@ -438,7 +444,7 @@ def test_scan_matches_naive_double_loops():
         first = None if rep.witness is None else \
             sum(d * field["p"] ** i for i, d in enumerate(rep.witness))
         assert first == (naive[0] if naive else None)
-        K = R._criterion_field(q0, s, Caps(), 0)
+        K = R._criterion_field(q0, s, Caps())
         if q0 % 2 and s % 2:
             assert R.witness_count_odd(q0, s) == len(naive)
             budget = R._EvalBudget(Caps().scan_cap)
@@ -458,7 +464,7 @@ def test_early_exit_budget_pinned():
     # the last tests of a block run as one 2-D call; one evaluation less of
     # scan_cap stops each scan with SizeCapExceeded
     for (q0, s), used in {(1849, 2): 15229, (19, 5): 9518, (43, 4): 13218}.items():
-        K = R._criterion_field(q0, s, Caps(), 0)
+        K = R._criterion_field(q0, s, Caps())
         budget = R._EvalBudget(Caps().scan_cap)
         assert R._odd_scan(K, q0, budget, count_all=False)[0] is not None
         assert budget.used == used
