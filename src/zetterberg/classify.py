@@ -95,7 +95,8 @@ def classify(q0: int, s: int, variant: str, caps: Caps = DEFAULT_CAPS) -> Classi
     # the code's positions.  For the half code (odd q0) those steps are the
     # full code's: xi^((q+1)/2) = -1, so c*xi^(i+(q+1)/2) = (-c)*xi^i.  Equal
     # step sets give equal radii, so the full-code dispatcher answers for both
-    # (radius.half_full_radius_equality_check compares the two sets).
+    # (radius.half_full_radius_equality_check tests that xi^((q+1)/2) lies in
+    # F_q0^*).
     rho = covering_radius(q0, s, "auto", caps).rho
     packing = (d - 1) // 2
     return ClassificationReport(

@@ -7,14 +7,19 @@ multiplicative group; no embedding maps are ever needed.
 
 Field elements are plain integers: the code of an element with coefficient
 vector (c_0, ..., c_{k-1}) in the polynomial basis is sum(c_i * p**i).
-Arithmetic is exposed as methods of Field acting on codes.  A FieldContext
-is the ambient field: a Field subclass that adds the tower data (q0, q, the
-subgroup exponents and xi), so every Field method applies to it directly.
+Arithmetic is exposed as methods of Field acting on codes.  There is one
+product modulo the field polynomial f, _poly_mulmod on coefficient tuples,
+shared by the odd-p Field.mul and Ben-Or's irreducibility test (in
+characteristic 2, Field.mul shifts and xors bit-packed codes instead), and
+one square-and-multiply loop, shared by Field.pow and _poly_powmod.
+
+A FieldContext is the ambient field: a Field subclass that adds the tower
+data (q0, q, the subgroup exponents and xi), so every Field method applies
+to it directly.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import cached_property, lru_cache
 
@@ -123,30 +128,37 @@ def _poly_trim(c: list[int]) -> tuple[int, ...]:
 
 
 def _poly_mulmod(a, b, f, p):
-    # a*b mod f, f monic
+    # a*b mod f, f monic: sum the products, then reduce top down, taking each
+    # coefficient mod p once
     n = len(f) - 1
     prod = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
+            for j, bj in enumerate(b, i):
+                prod[j] += ai * bj
     for d in range(len(prod) - 1, n - 1, -1):
-        c = prod[d]
+        c = prod[d] % p
         if c:
-            prod[d] = 0
-            for j in range(n):
-                prod[d - n + j] = (prod[d - n + j] - c * f[j]) % p
-    return _poly_trim(prod)
+            # f[n] = 1 lands on prod[d], which is not read again
+            for j, fj in enumerate(f, d - n):
+                if fj:
+                    prod[j] -= c * fj
+    return _poly_trim([c % p for c in prod[:n]])
+
+
+def _binary_pow(a, e, mul):
+    # a^e for e >= 1, left to right: one squaring per bit below the leading one
+    result = a
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, a)
+    return result
 
 
 def _poly_powmod(a, e, f, p):
-    # a^e mod f for e >= 1; left-to-right binary, as in Field.pow
-    result = a
-    for bit in bin(e)[3:]:
-        result = _poly_mulmod(result, result, f, p)
-        if bit == "1":
-            result = _poly_mulmod(result, a, f, p)
-    return result
+    # a^e mod f for e >= 1
+    return _binary_pow(a, e, lambda x, y: _poly_mulmod(x, y, f, p))
 
 
 def _poly_gcd(a, b, p):
@@ -193,9 +205,11 @@ def find_irreducible(p: int, n: int, skip: int = 0) -> tuple[int, ...]:
         raise ValueError(f"p={p} is not prime")
     if n < 1:
         raise ValueError("degree must be >= 1")
-    # c0 = 0 means X | f, reducible for n >= 2
-    for coeffs in itertools.product(range(1 if n > 1 else 0, p), *[range(p)] * (n - 1)):
-        f = coeffs + (1,)
+    # candidate i reads (c0, ..., c_{n-1}) as its base-p digits, c0 most
+    # significant; c0 = 0 means X | f, reducible for n >= 2
+    place = [p ** (n - 1 - j) for j in range(n)]
+    for i in range(place[0] if n > 1 else 0, p**n):
+        f = tuple(i // w % p for w in place) + (1,)
         if _is_irreducible(f, p):
             if skip == 0:
                 return f
@@ -233,13 +247,6 @@ class Field:
         if p == 2:
             # full modulus bit pattern, including the X^k term
             self._mod2 = sum(c << i for i, c in enumerate(modulus))
-        else:
-            # reduction rows: digits of X^(k+j) mod f for j = 0..k-2
-            rows, cur = [], (0,) * (k - 1) + (1,)
-            for _ in range(k - 1):
-                cur = _poly_mulmod(cur, (0, 1), modulus, p)
-                rows.append(cur + (0,) * (k - len(cur)))
-            self._red = rows
 
     # -- representation
 
@@ -306,35 +313,15 @@ class Field:
                 if (a >> k) & 1:
                     a ^= mod2
             return r
-        p, k = self.p, self.k
-        da = self.decode(a)
-        db = self.decode(b)
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] += ai * bj
-        out = [c % p for c in prod[:k]]
-        for j in range(k - 1):
-            c = prod[k + j] % p
-            if c:
-                row = self._red[j]
-                for i in range(k):
-                    out[i] = (out[i] + c * row[i]) % p
-        return self.encode(out)
+        prod = _poly_mulmod(self.decode(a), self.decode(b), self.modulus, self.p)
+        return self.encode(prod)
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
         if e == 0:
             return 1
-        # left-to-right binary: one squaring per bit below the leading one
-        result = a
-        for bit in bin(e)[3:]:
-            result = self.mul(result, result)
-            if bit == "1":
-                result = self.mul(result, a)
-        return result
+        return _binary_pow(a, e, self.mul)
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -171,16 +171,6 @@ def _first_at_depth(nc: _NormClasses, layer: np.ndarray, depth: int) -> int:
     raise ArithmeticError(f"no class at depth {depth}")
 
 
-def _steps(ctx: FieldContext) -> np.ndarray:
-    """steps[c, i] = c * xi^i for c in F_q0^*, 0 <= i <= q: the syndromes of
-    weight-1 words, position by position."""
-    bf = BulkField(ctx)
-    xi_pows = bf.powers(ctx.xi, ctx.q + 1)
-    sub = np.array([c for c in tower.subfield_elements(ctx, "q0") if c], dtype=np.int64)
-    prod = bf.mul(np.repeat(sub, xi_pows.size), np.tile(xi_pows, sub.size))
-    return prod.reshape(sub.size, xi_pows.size)
-
-
 def _check_oracle_cap(q0: int, s: int, caps: Caps):
     if q0 ** (2 * s) > caps.oracle_cap:
         raise SizeCapExceeded(
@@ -208,17 +198,18 @@ def covering_radius_oracle(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> Radius
 def half_full_radius_equality_check(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> bool:
     """Whether the half code's oracle steps are exactly the full code's.
 
-    The covering radius is the BFS depth of F_{q^2} under the code's steps,
-    so equal step sets give equal layers and equal radii.  For odd q0 they
-    are equal: xi^((q+1)/2) = -1 lies in F_q0^*, so every c * xi^(i + (q+1)/2)
-    is (-c) * xi^i with i < (q+1)/2.
+    The covering radius is the BFS depth of F_{q^2} under the code's steps
+    c * xi^i (c in F_q0^*), so equal step sets give equal layers and equal
+    radii.  The half code keeps the positions i < (q+1)/2.  When
+    u = xi^((q+1)/2) lies in F_q0^*, every c * xi^(i + (q+1)/2) is
+    (c*u) * xi^i, so the sets are equal; this tests that membership.  For odd
+    q0 it holds: xi has order q+1, so u = -1.
     """
     if q0 % 2 == 0:
         raise PreconditionViolated("half code requires odd q0")
     _check_oracle_cap(q0, s, caps)
     ctx = make_field_for_q0(q0, s, caps=caps)
-    steps = _steps(ctx)
-    return np.array_equal(np.unique(steps[:, :(ctx.q + 1) // 2]), np.unique(steps))
+    return tower.in_subgroup(ctx, ctx.pow(ctx.xi, (ctx.q + 1) // 2), "Fq0_star")
 
 
 # ---------------------------------------------------------------------------

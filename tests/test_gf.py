@@ -2,9 +2,11 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from zetterberg import gf
+from zetterberg._bulk import BulkField
 from zetterberg.caps import Caps
 from zetterberg.errors import SizeCapExceeded
 from zetterberg.gf import (Field, factorize, find_irreducible, is_prime,
@@ -97,6 +99,16 @@ def test_poly_powmod_squares_once_per_bit(monkeypatch):
         calls.clear()
         assert gf._poly_powmod(x, e, f, 3) == (0,) * e + (1,)
         assert len(calls) == n_calls
+
+
+@pytest.mark.parametrize("p, k", [(3, 2), (5, 2), (3, 3), (7, 2), (5, 3), (13, 1)])
+def test_mul_matches_bulk_on_all_pairs(p, k):
+    # Field.mul against the independent float-digit BulkField product
+    F = Field(p, k)
+    codes = np.arange(F.order, dtype=np.int64)
+    a, b = np.repeat(codes, F.order), np.tile(codes, F.order)
+    expected = BulkField(F).mul(a, b).tolist()
+    assert [F.mul(x, y) for x, y in zip(a.tolist(), b.tolist())] == expected
 
 
 def test_found_modulus_is_not_tested_again(monkeypatch):

@@ -326,6 +326,29 @@ def test_half_full_equality():
         R.half_full_radius_equality_check(4, 2)
 
 
+def _steps(ctx):
+    """steps[c, i] = c * xi^i for c in F_q0^*, 0 <= i <= q: the syndromes of
+    weight-1 words, position by position."""
+    bf = BulkField(ctx)
+    xi_pows = bf.powers(ctx.xi, ctx.q + 1)
+    sub = np.array([c for c in subfield_elements(ctx, "q0") if c], dtype=np.int64)
+    prod = bf.mul(np.repeat(sub, xi_pows.size), np.tile(xi_pows, sub.size))
+    return prod.reshape(sub.size, xi_pows.size)
+
+
+def test_half_full_check_matches_step_sets():
+    # brute-force reference: the half code's steps (positions i < (q+1)/2)
+    # are all of the full code's exactly when the check returns True
+    cells = [(q0, s) for q0 in range(3, 256, 2) if len(factorize(q0)) == 1
+             for s in range(1, 9) if q0 ** (2 * s) <= 2**16]
+    assert len(cells) == 72
+    for q0, s in cells:
+        steps = _steps(make_field_for_q0(q0, s))
+        half = steps[:, :steps.shape[1] // 2]  # q + 1 columns
+        same = np.array_equal(np.unique(half), np.unique(steps))
+        assert same == R.half_full_radius_equality_check(q0, s), (q0, s)
+
+
 def test_half_code_bfs_matches_full_oracle_layers():
     # brute-force reference for the half code: a plain BFS over its own steps
     # (positions i < (q+1)/2) gives the full-code oracle's layers everywhere
