@@ -6,8 +6,9 @@ oracle     -- exact BFS layering of the syndrome space F_{q^2} under single
               union of cosets of G; the BFS runs over the r = [F_{q^2}^* : G]
               cosets, which are told apart by the norm to F_q, and works in
               F_q only, with tables of size O(q).
-criterion  -- the character/trace scans deciding rho in {2, 3} inside F_q,
-              feasible far beyond the oracle.
+criterion  -- one scan of F_q deciding rho in {2, 3} by a square pattern
+              (odd q0) or a trace pattern (even q0), feasible far beyond
+              the oracle.
 shortcuts  -- closed-form parameter rules (threshold inequalities et al.).
 
 The dispatcher tries them cheapest first (shortcuts, criterion, oracle) and,
@@ -213,7 +214,7 @@ def half_full_radius_equality_check(q0: int, s: int, caps: Caps = DEFAULT_CAPS) 
 
 
 # ---------------------------------------------------------------------------
-# criterion scans (work in F_q, never in the ambient field)
+# criterion scan (works in F_q, never in the ambient field)
 
 
 class _EvalBudget:
@@ -258,13 +259,14 @@ def _survivors(cur: np.ndarray, n_tests: int, passes, budget: _EvalBudget) -> np
     first, t = cur.size, 0
     while cur.size and t < n_tests:
         width = n_tests - t if cur.size * (n_tests - t) <= first else 1
+        budget.spend(cur.size)
         ok = passes(cur, t, t + width)
         if width > 1:
             ok = np.logical_and.accumulate(ok, axis=1)
-        for n in [cur.size, *ok[:, :-1].sum(axis=0)]:
-            if n == 0:
-                break
-            budget.spend(int(n))
+            for n in ok[:, :-1].sum(axis=0):
+                if n == 0:
+                    break
+                budget.spend(int(n))
         cur = cur[ok[:, -1]]
         t += width
     return cur
@@ -287,53 +289,91 @@ def _zech_squares(bf: BulkField, exp: np.ndarray, chi: np.ndarray) -> np.ndarray
     return good
 
 
-def _odd_scan(K: Field, q0: int, budget: _EvalBudget, count_all: bool):
-    """Witnesses x in F_q^* minus the q0-squares with x*(x-beta) a square
-    for every nonzero square beta of F_q0.
+def _pattern(bf: BulkField, q0: int, tests: np.ndarray, logs: np.ndarray,
+             exp: np.ndarray, tables: bool):
+    """(keep, passes) for `_scan`: keep(x) filters the candidate codes x
+    beyond j mod d != 0; passes(j, t0, t1) is the pass matrix of tests
+    [t0, t1) on log indices j, per element on the exp prefix, or by lookup
+    in the full tables, built here from the full exp when `tables`.
 
-    Enumerates x = g^j in ascending j; returns (first witness or None,
-    count) with count only exact when count_all.  Candidates travel as
-    log indices j; the q0-squares are the j divisible by d = 2(q-1)/(q0-1),
-    and the betas are the g^(i*d), tested in ascending code order.
-    The first (q-1) >> 8 powers come from a short exp prefix and chi is
-    evaluated per element; the full tables are built only when that prefix
-    holds no witness (at once when counting).  From there on the scan runs
-    in the log domain: x*(x-beta) = beta^2 * y*(y-1) with y = x/beta =
-    g^(j - log beta), so each test is one lookup in the Zech table of
-    `_zech_squares`, with no field arithmetic.
+    Odd q0: x passes the square beta of F_q0 when x (x - beta) is a nonzero
+    square.  Per element, chi(x - beta) == chi(x) = (-1)^j; by table,
+    x (x - beta) = beta^2 y (y - 1) for y = g^(j - log beta), one lookup in
+    the Zech table of `_zech_squares`.
+    Even q0 = 2^m: x needs Tr(x) = 0 (trace to F_q0), and passes b when
+    Tr(1/(1 + b x)) is 0 or 1 (1 + b x != 0: x is not in F_q0).  Per
+    element, the product, inverse and trace kernels; by table,
+    b x = g^(j + log b) and 1/y = g^(-log y).  (A log-domain table of
+    Tr(1/(1+g^i)) was tried and is slower: it needs extra log and inverse
+    scatters.)
+    """
+    if q0 % 2:
+        def keep(x):
+            return True
+        if tables:
+            good = _zech_squares(bf, exp, bf.build_chi_table(exp))
+
+            def passes(j, t0, t1):
+                # good[(j - log beta) mod (q-1)]; a negative index wraps by q-1
+                return good[j[:, None] - logs[None, t0:t1]]
+        else:
+            digits = bf.decode(tests)
+
+            def passes(j, t0, t1):
+                y = bf.encode(bf.decode(exp[j])[:, None, :] - digits[None, t0:t1, :])
+                signs = 1 - 2 * (j & 1)
+                return bf.chi(y.ravel()).reshape(y.shape) == signs[:, None]
+        return keep, passes
+    m = q0.bit_length() - 1
+    if tables:
+        log, tr = bf.build_log_table(exp), bf.build_trace_table_char2(m)
+
+        def keep(x):
+            return tr[x] == 0
+
+        def passes(j, t0, t1):
+            # negative indices wrap by q-1: j + log b - (q-1), and -log y
+            y = exp[j[:, None] + (logs[None, t0:t1] - exp.size)] ^ 1
+            return tr[exp[-log[y]]] <= 1
+    else:
+        def keep(x):
+            return bf.trace(x, m) == 0
+
+        def passes(j, t0, t1):
+            y = np.concatenate([bf.mul(exp[j], tests[t:t + 1]) for t in range(t0, t1)]) ^ 1
+            return (bf.trace(bf.inverse(y), m) <= 1).reshape(t1 - t0, -1).T
+    return keep, passes
+
+
+def _scan(K: Field, q0: int, budget: _EvalBudget, count_all: bool = False):
+    """The criterion's witnesses x = g^j in F_q, in ascending j: returns
+    (first witness or None, count), with count only exact when count_all.
+
+    The tests are the subgroup <g^d> of F_q0^* in ascending code order: the
+    nonzero squares of F_q0 for odd q0 (d = 2(q-1)/(q0-1)), all of F_q0^*
+    for even q0 (d = (q-1)/(q0-1)).  The candidates are the j with
+    j mod d != 0 that `_pattern`'s keep admits, and `_survivors` runs the
+    tests on them.  The first (q-1) >> 8 powers are tested per element on a
+    short exp prefix; the full tables are built only when that prefix holds
+    no witness (at once when counting).
     """
     n1 = K.order - 1
-    d = 2 * n1 // (q0 - 1)
-    # the nonzero squares of F_q0 are the subgroup <g^d>; element i is g^(i*d)
-    sq = np.array(K.cyclic_subgroup(d), dtype=np.int64)
-    by_code = np.argsort(sq)
-    betas, beta_logs = sq[by_code], by_code * d
+    d = n1 // (q0 - 1) * (2 if q0 % 2 else 1)
+    sub = np.array(K.cyclic_subgroup(d), dtype=np.int64)
+    by_code = np.argsort(sub)
+    tests, logs = sub[by_code], by_code * d
     lazy = 0 if count_all else n1 >> 8
     bf = BulkField(K)
-    exp = bf.build_exp(lazy) if lazy else None
-    beta_digits = bf.decode(betas)
-
-    def prefix_passes(j, t0, t1):
-        # chi(x - beta) == chi(x) = (-1)^j, one chi call for all the pairs
-        x = bf.decode(exp[j])
-        y = bf.encode(x[:, None, :] - beta_digits[None, t0:t1, :])
-        signs = 1 - 2 * (j & 1)
-        return bf.chi(y.ravel()).reshape(y.shape) == signs[:, None]
-
-    def table_passes(j, t0, t1):
-        # good[(j - log beta) mod (q-1)]; a negative index wraps by q-1
-        return good[j[:, None] - beta_logs[None, t0:t1]]
-
-    passes = prefix_passes
-    first = None
-    count = 0
+    if lazy:
+        exp = bf.build_exp(lazy)
+        keep, passes = _pattern(bf, q0, tests, logs, exp, tables=False)
+    first, count = None, 0
     for j0, j1 in _scan_blocks(n1, lazy):
         if j0 == lazy:
             exp = bf.build_exp()
-            good = _zech_squares(bf, exp, bf.build_chi_table(exp))
-            passes = table_passes
+            keep, passes = _pattern(bf, q0, tests, logs, exp, tables=True)
         j = np.arange(j0, j1)
-        cur = _survivors(j[j % d != 0], betas.size, passes, budget)
+        cur = _survivors(j[(j % d != 0) & keep(exp[j0:j1])], tests.size, passes, budget)
         if cur.size:
             if first is None:
                 first = int(exp[cur[0]])
@@ -343,50 +383,6 @@ def _odd_scan(K: Field, q0: int, budget: _EvalBudget, count_all: bool):
     return first, count
 
 
-def _even_scan(K: Field, q0: int, budget: _EvalBudget):
-    """First alpha = g^j outside F_q0 with zero trace and all 1/(1+b*alpha)
-    traces in {0, 1}, in ascending j.
-
-    F_q0^* is the subgroup of the g^j with j divisible by (q-1)/(q0-1).
-    As in _odd_scan, the first (q-1) >> 8 powers are tested per element
-    (trace, inverse and product kernels); the exp, log and trace tables are
-    built only when that prefix holds no witness, and the products are then
-    log-table lookups.  (A log-domain table of Tr(1/(1+g^i)) was tried and
-    is slower: it needs extra log and inverse scatters.)
-    """
-    m = q0.bit_length() - 1
-    sub_nonzero = [c for c in K.subfield_elements(m) if c]
-    n1 = K.order - 1
-    sub_step = n1 // (q0 - 1)
-    lazy = n1 >> 8
-    bf = BulkField(K)
-    exp = bf.build_exp(lazy) if lazy else None
-    log = tr = None  # the full tables, once built
-    for j0, j1 in _scan_blocks(n1, lazy):
-        if j0 == lazy:
-            exp = bf.build_exp()
-            log = bf.build_log_table(exp)
-            tr = bf.build_trace_table_char2(m)
-        codes = exp[j0:j1]
-        tr_codes = bf.trace(codes, m) if tr is None else tr[codes]
-        cur = codes[(tr_codes == 0) & (np.arange(j0, j1) % sub_step != 0)]
-        for b in sub_nonzero:
-            if cur.size == 0:
-                break
-            budget.spend(int(cur.size))
-            # y = 1 + b*alpha, never 0; t = Tr(1/y)
-            if tr is None:
-                y = bf.mul(cur, np.array([b])) ^ 1
-                t = bf.trace(bf.inverse(y), m)
-            else:
-                y = exp[(log[cur] + log[b]) % n1] ^ 1
-                t = tr[exp[(n1 - log[y]) % n1]]
-            cur = cur[(t == 0) | (t == 1)]
-        if cur.size:
-            return int(cur[0])
-    return None
-
-
 def _check_parity(q0: int, odd: bool):
     if odd and (q0 % 2 == 0 or q0 < 3):
         raise PreconditionViolated("odd q0 >= 3 required")
@@ -394,19 +390,15 @@ def _check_parity(q0: int, odd: bool):
         raise PreconditionViolated("even q0 required")
 
 
-def _criterion_report(q0: int, s: int, caps: Caps, odd: bool) -> RadiusReport:
-    """rho in {2,3} for s >= 2 from the parity's scan over F_q: 3 exactly
+def rho_criterion(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> RadiusReport:
+    """rho in {2,3} for s >= 2 from the criterion scan over F_q: 3 exactly
     when the scan finds a witness."""
     t0 = time.perf_counter()
-    _check_parity(q0, odd)
+    _check_parity(q0, odd=q0 % 2 == 1)
     if s < 2:
         raise PreconditionViolated("criterion applies for s >= 2")
     K = _criterion_field(q0, s, caps)
-    budget = _EvalBudget(caps.scan_cap)
-    if odd:
-        witness, _ = _odd_scan(K, q0, budget, count_all=False)
-    else:
-        witness = _even_scan(K, q0, budget)
+    witness, _ = _scan(K, q0, _EvalBudget(caps.scan_cap))
     return RadiusReport(
         q0=q0, s=s, rho=3 if witness is not None else 2, method="criterion",
         witness=None if witness is None else list(K.decode(witness)),
@@ -416,16 +408,14 @@ def _criterion_report(q0: int, s: int, caps: Caps, odd: bool) -> RadiusReport:
 
 def rho_criterion_odd(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> RadiusReport:
     """rho in {2,3} for odd q0, s >= 2, via the square-pattern scan over F_q."""
-    return _criterion_report(q0, s, caps, odd=True)
+    _check_parity(q0, odd=True)
+    return rho_criterion(q0, s, caps)
 
 
 def rho_criterion_even(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> RadiusReport:
     """rho in {2,3} for even q0, s >= 2, via the trace-pattern scan over F_q."""
-    return _criterion_report(q0, s, caps, odd=False)
-
-
-def rho_criterion(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> RadiusReport:
-    return _criterion_report(q0, s, caps, odd=q0 % 2 == 1)
+    _check_parity(q0, odd=False)
+    return rho_criterion(q0, s, caps)
 
 
 def witness_count_odd(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> int:
@@ -434,8 +424,7 @@ def witness_count_odd(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> int:
     if s < 3 or s % 2 == 0:
         raise PreconditionViolated("witness counting is stated for odd s >= 3")
     K = _criterion_field(q0, s, caps)
-    budget = _EvalBudget(caps.scan_cap)
-    _, count = _odd_scan(K, q0, budget, count_all=True)
+    _, count = _scan(K, q0, _EvalBudget(caps.scan_cap), count_all=True)
     return count
 
 

@@ -237,11 +237,7 @@ def test_criterion_representation_independent():
         p, m = prime_power_split(q0)
         K = Field(p, s * m, find_irreducible(p, s * m, skip=1))
         assert K.modulus != R._criterion_field(q0, s, Caps()).modulus
-        budget = R._EvalBudget(Caps().scan_cap)
-        if q0 % 2:
-            witness = R._odd_scan(K, q0, budget, count_all=False)[0]
-        else:
-            witness = R._even_scan(K, q0, budget)
+        witness = R._scan(K, q0, R._EvalBudget(Caps().scan_cap))[0]
         assert (3 if witness is not None else 2) == R.rho_criterion(q0, s).rho
 
 
@@ -468,17 +464,15 @@ def test_scan_matches_naive_double_loops():
             sum(d * field["p"] ** i for i, d in enumerate(rep.witness))
         assert first == (naive[0] if naive else None)
         K = R._criterion_field(q0, s, Caps())
-        if q0 % 2 and s % 2:
-            assert R.witness_count_odd(q0, s) == len(naive)
+        if s % 2:  # both parities: (4,5) has 45 witnesses, (16,3) none
+            if q0 % 2:
+                assert R.witness_count_odd(q0, s) == len(naive)
             budget = R._EvalBudget(Caps().scan_cap)
-            assert R._odd_scan(K, q0, budget, count_all=True) == (first, len(naive))
+            assert R._scan(K, q0, budget, count_all=True) == (first, len(naive))
             assert budget.used == spent
         if not naive:  # a rho=2 scan is exhaustive too
             budget = R._EvalBudget(Caps().scan_cap)
-            if q0 % 2:
-                assert R._odd_scan(K, q0, budget, count_all=False) == (None, 0)
-            else:
-                assert R._even_scan(K, q0, budget) is None
+            assert R._scan(K, q0, budget) == (None, 0)
             assert budget.used == spent
 
 
@@ -489,34 +483,44 @@ def test_early_exit_budget_pinned():
     for (q0, s), used in {(1849, 2): 15229, (19, 5): 9518, (43, 4): 13218}.items():
         K = R._criterion_field(q0, s, Caps())
         budget = R._EvalBudget(Caps().scan_cap)
-        assert R._odd_scan(K, q0, budget, count_all=False)[0] is not None
+        assert R._scan(K, q0, budget)[0] is not None
         assert budget.used == used
         with pytest.raises(SizeCapExceeded):
-            R._odd_scan(K, q0, R._EvalBudget(used - 1), count_all=False)
+            R._scan(K, q0, R._EvalBudget(used - 1))
 
 
-def test_odd_table_phase_does_no_field_arithmetic(monkeypatch):
-    # once the full tables exist, each test is a Zech-table lookup on log
-    # indices: no per-beta subtraction, no digit decoding
-    built = []
-    build_chi_table = BulkField.build_chi_table
+def test_table_phase_does_no_field_arithmetic(monkeypatch):
+    # once the full tables exist, each test is a table lookup on log
+    # indices: for odd q0 no per-beta subtraction and no digit decoding, for
+    # even q0 no product, inverse or trace kernel.  (16,3) is rho=2 with a
+    # 15-element lazy prefix, whose kernels run before the tables are built.
+    built, called = [], []
 
-    def chi_table(bf, exp):
-        built.append(True)
-        return build_chi_table(bf, exp)
+    def mark(fn):
+        def build(*args, **kwargs):
+            built.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return build
 
     def refuse(fn):
         def guarded(*args, **kwargs):
             if built:
                 raise AssertionError(f"{fn.__name__} called in the table phase")
+            called.append(fn.__name__)
             return fn(*args, **kwargs)
         return guarded
 
-    monkeypatch.setattr(BulkField, "build_chi_table", chi_table)
-    monkeypatch.setattr(BulkField, "sub_const", refuse(BulkField.sub_const))
-    monkeypatch.setattr(BulkField, "decode", refuse(BulkField.decode))
+    for name in ["build_chi_table", "build_trace_table_char2"]:
+        monkeypatch.setattr(BulkField, name, mark(getattr(BulkField, name)))
+    for name in ["sub_const", "decode", "mul", "inverse", "trace"]:
+        monkeypatch.setattr(BulkField, name, refuse(getattr(BulkField, name)))
     assert R.witness_count_odd(7, 3) == 39
-    assert built
+    assert built == ["build_chi_table"]
+    built.clear()
+    called.clear()
+    assert R.rho_criterion_even(16, 3).rho == 2
+    assert built == ["build_trace_table_char2"]
+    assert {"mul", "inverse", "trace"} <= set(called)
 
 
 def test_criterion_witnesses_pinned():
