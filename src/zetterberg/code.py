@@ -5,6 +5,13 @@ with parity condition sum(c_i * xi^i) = 0 over all of H = <xi>, the half code
 (odd q0 only) keeps the first (q+1)/2 positions.  Codewords are plain lists
 of F_q0 coefficient codes.
 
+The positions xi^0, xi^1, ... are walked only on first read (`h_powers`,
+`positions`), by the weight scans and callers that need every position.  A
+syndrome steps from one support position to the next by a power of xi, and
+`h_index` finds the position of an element of H by baby-step giant-step,
+O(sqrt(q)) products; so the explicit weight-3 witnesses and their syndromes
+never walk H.
+
 A word is a codeword exactly when M(X), the minimal polynomial of xi over
 F_q0 (degree 2s), divides sum(c_i * X^i).  Column i of the parity-check
 matrix is X^i mod M, so its first 2s columns are the identity and the code
@@ -15,7 +22,9 @@ needed anywhere.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .caps import Caps
 from .errors import PreconditionViolated, SizeCapExceeded
@@ -30,8 +39,6 @@ class ZetterbergCode:
     xi: int = field(init=False)
     length: int = field(init=False)
     dimension: int = field(init=False)
-    positions: list = field(init=False)   # xi^0 .. xi^(length-1)
-    h_powers: list = field(init=False)    # xi^0 .. xi^q (all of H, in order)
 
     def __post_init__(self):
         ctx = self.ctx
@@ -46,9 +53,40 @@ class ZetterbergCode:
         if self.dimension < 0:
             raise PreconditionViolated(
                 f"2s = {2*ctx.s} exceeds length {self.length}")
-        self.h_powers = tower.subgroup_elements(ctx, "H")
-        self.positions = self.h_powers[: self.length]
-        self._pos_index = {h: i for i, h in enumerate(self.h_powers)}
+
+    @cached_property
+    def h_powers(self) -> list:
+        """xi^0 .. xi^q: all of H, in order (walked on first read)."""
+        return tower.subgroup_elements(self.ctx, "H")
+
+    @cached_property
+    def positions(self) -> list:
+        """xi^0 .. xi^(length-1)."""
+        return self.h_powers[: self.length]
+
+    @cached_property
+    def _baby_steps(self) -> tuple[dict, int]:
+        # ({xi^j: j for j < n}, xi^(-n)) with n = ceil(sqrt(q + 1))
+        ctx, order = self.ctx, self.ctx.q + 1
+        n = math.isqrt(order - 1) + 1
+        table, x = {}, 1
+        for j in range(n):
+            table[x] = j
+            x = ctx.mul(x, self.xi)
+        return table, ctx.pow(self.xi, order - n)
+
+    def h_index(self, h: int) -> int:
+        """The t in [0, q] with xi^t = h, by baby-step giant-step in H:
+        O(sqrt(q)) products, no walk of H.  ValueError when h is not in H."""
+        table, giant = self._baby_steps
+        n = len(table)
+        # t = i*n + j with j < n; the first i that hits gives the least t
+        for i in range(n):
+            j = table.get(h)
+            if j is not None:
+                return i * n + j
+            h = self.ctx.mul(h, giant)
+        raise ValueError("element is not in H")
 
     @property
     def q0(self) -> int:
@@ -76,10 +114,12 @@ def syndrome(code: ZetterbergCode, word) -> int:
     if len(word) != code.length:
         raise ValueError(f"word length {len(word)} != code length {code.length}")
     ctx = code.ctx
-    acc = 0
-    for c, pos in zip(word, code.positions):
-        if c:
-            acc = ctx.add(acc, ctx.mul(c, pos))
+    acc, pos, prev = 0, 1, 0
+    for i in support(word):  # pos = xi^i, stepped from the last support position
+        if i > prev:
+            pos = ctx.mul(pos, ctx.pow(code.xi, i - prev))
+            prev = i
+        acc = ctx.add(acc, ctx.mul(word[i], pos))
     return acc
 
 
@@ -210,7 +250,7 @@ def weight3_word(code: ZetterbergCode) -> list | None:
                 continue  # third position would collide with 0 or u
             # locate the third position and coefficient: b*xi^v = -z
             for v in range(code.ctx.q + 1):
-                b = ctx.mul(mz, ctx.inv(code.h_powers[v]))
+                b = ctx.mul(mz, code.h_powers[-v])  # xi^(-v) = xi^(q+1-v)
                 if tower.in_subgroup(ctx, b, "Fq0_star"):
                     if v >= code.length:  # wrap into the half range: xi^L = -1
                         v -= code.length
@@ -373,7 +413,7 @@ def weight3_witness_half_odd(code: ZetterbergCode) -> list:
     assert ctx.add(ctx.add(ctx.mul(c1, zeta1), ctx.mul(c2, zeta2)), 1) == 0
 
     def place(h: int, coef: int) -> tuple[int, int]:
-        t = code._pos_index[h]
+        t = code.h_index(h)
         if t >= code.length:  # xi^(t) = -xi^(t - L)
             return t - code.length, ctx.neg(coef)
         return t, coef

@@ -9,9 +9,11 @@ Field elements are plain integers: the code of an element with coefficient
 vector (c_0, ..., c_{k-1}) in the polynomial basis is sum(c_i * p**i).
 Arithmetic is exposed as methods of Field acting on codes.  There is one
 product modulo the field polynomial f, _poly_mulmod on coefficient tuples,
-shared by the odd-p Field.mul and Ben-Or's irreducibility test (in
-characteristic 2, Field.mul shifts and xors bit-packed codes instead), and
-one square-and-multiply loop, shared by Field.pow and _poly_powmod.
+shared by the odd-p Field.mul, Field.pow and Ben-Or's irreducibility test
+(in characteristic 2, Field.mul shifts and xors bit-packed codes instead),
+and one square-and-multiply loop, _binary_pow.  Field.pow runs that loop on
+codes for p = 2 and, through _poly_powmod, on one decoded coefficient tuple
+for odd p, so an odd-p power decodes and encodes once.
 
 A FieldContext is the ambient field: a Field subclass that adds the tower
 data (q0, q, the subgroup exponents and xi), so every Field method applies
@@ -321,7 +323,10 @@ class Field:
             return self.pow(self.inv(a), -e)
         if e == 0:
             return 1
-        return _binary_pow(a, e, self.mul)
+        if self.p == 2:
+            return _binary_pow(a, e, self.mul)
+        # odd p: square and multiply on coefficient tuples, one decode
+        return self.encode(_poly_powmod(self.decode(a), e, self.modulus, self.p))
 
     def inv(self, a: int) -> int:
         if a == 0:

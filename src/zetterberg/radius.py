@@ -356,7 +356,13 @@ def _scan(K: Field, q0: int, budget: _EvalBudget, count_all: bool = False):
     tests on them.  The first (q-1) >> 8 powers are tested per element on a
     short exp prefix; the full tables are built only when that prefix holds
     no witness (at once when counting).
+
+    Even q0 with q = q0^2 has no candidate, so the scan returns before any
+    table is built: Tr(x) = x + x^q0 vanishes exactly when x^q0 = x, that
+    is on F_q0, which j mod d != 0 excludes.
     """
+    if q0 % 2 == 0 and K.order == q0 * q0:
+        return None, 0
     n1 = K.order - 1
     d = n1 // (q0 - 1) * (2 if q0 % 2 else 1)
     sub = np.array(K.cyclic_subgroup(d), dtype=np.int64)

@@ -26,6 +26,42 @@ def test_h_powers_are_the_subgroup_walk():
         assert code.h_powers == [ctx.pow(ctx.xi, i) for i in range(ctx.q + 1)]
 
 
+def test_h_index_inverts_the_walk():
+    for q0, s in [(3, 2), (5, 3), (4, 2), (2, 5)]:
+        ctx = make_field_for_q0(q0, s)
+        code = C.build_code(ctx, "full")
+        assert [code.h_index(h) for h in code.h_powers] == list(range(ctx.q + 1))
+        for outside in (0, ctx.generator):  # the generator has order q^2 - 1
+            with pytest.raises(ValueError):
+                code.h_index(outside)
+
+
+def test_syndrome_matches_dense_reference():
+    rng = random.Random(13)
+    for q0, s, variant in [(3, 2, "full"), (4, 2, "full"), (5, 2, "half"), (7, 1, "half")]:
+        ctx = make_field_for_q0(q0, s)
+        code = C.build_code(ctx, variant)
+        subs = subfield_elements(ctx, "q0")
+        for density in (0.05, 0.3, 1.0):  # sparse to dense
+            for _ in range(5):
+                word = [rng.choice(subs) if rng.random() < density else 0
+                        for _ in range(code.length)]
+                dense = 0
+                for c, h in zip(word, code.h_powers):
+                    dense = ctx.add(dense, ctx.mul(c, h))
+                assert C.syndrome(code, word) == dense
+
+
+def test_witnesses_never_walk_h():
+    # the explicit witnesses and their syndromes leave the positions unbuilt
+    for q0, s, variant, witness in [(4093, 1, "half", C.weight3_witness_half_odd),
+                                    (1024, 1, "full", C.weight3_witness_even)]:
+        code = C.build_code(make_field_for_q0(q0, s), variant)
+        w = witness(code)
+        assert C.weight(w) == 3 and C.syndrome(code, w) == 0
+        assert "h_powers" not in code.__dict__ and "positions" not in code.__dict__
+
+
 def test_half_variant_needs_odd_q0():
     with pytest.raises(PreconditionViolated):
         C.build_code(make_field_for_q0(4, 2), "half")

@@ -455,7 +455,8 @@ def test_scan_matches_naive_double_loops():
     # budget of every exhaustive scan
     # (19,3) and (23,3) are rho=2 with a nonempty lazy prefix, so their
     # table phase starts after a prefix scanned element by element
-    for q0, s in [(3, 2), (5, 2), (13, 3), (17, 3), (19, 3), (23, 3), (4, 5), (16, 3)]:
+    for q0, s in [(3, 2), (5, 2), (13, 3), (17, 3), (19, 3), (23, 3), (4, 5), (16, 3),
+                  (4, 2)]:
         naive, spent = _naive_scan(q0, s)
         rep = R.rho_criterion(q0, s)
         assert rep.rho == (3 if naive else 2)
@@ -474,6 +475,20 @@ def test_scan_matches_naive_double_loops():
             budget = R._EvalBudget(Caps().scan_cap)
             assert R._scan(K, q0, budget) == (None, 0)
             assert budget.used == spent
+
+
+def test_even_q0_with_s_2_builds_no_table(monkeypatch):
+    # Tr(x) = x + x^q0 vanishes only on F_q0, which the scan excludes: no
+    # candidate, so rho = 2 with nothing charged and no table built
+    def refuse(*args, **kwargs):
+        raise AssertionError("exp table built")
+
+    monkeypatch.setattr(BulkField, "build_exp", refuse)
+    for q0 in (512, 1024):
+        budget = R._EvalBudget(Caps().scan_cap)
+        assert R._scan(R._criterion_field(q0, 2, Caps()), q0, budget) == (None, 0)
+        assert budget.used == 0
+        assert R.rho_criterion(q0, 2).rho == 2
 
 
 def test_early_exit_budget_pinned():
