@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import PreconditionViolated, Undecidable
-from .code import min_distance_formula
+from .code import code_shape, min_distance_formula
 from .gf import prime_power_split
 from .radius import covering_radius
 from .thresholds import s_star_lower_even, s_star_lower_odd
@@ -35,13 +35,7 @@ class ClassificationReport:
     rule: str
 
     def to_json(self) -> dict:
-        return {
-            "q0": self.q0, "s": self.s, "variant": self.variant,
-            "length": self.length, "dimension": self.dimension,
-            "d": self.d, "rho": self.rho,
-            "perfect": self.perfect, "quasi_perfect": self.quasi_perfect,
-            "maximal": self.maximal, "rule": self.rule,
-        }
+        return asdict(self)
 
 
 def _regime(q0: int, s: int, variant: str) -> str:
@@ -76,13 +70,7 @@ def _regime(q0: int, s: int, variant: str) -> str:
 def classify(q0: int, s: int, variant: str, caps: Caps = DEFAULT_CAPS) -> ClassificationReport:
     """Verdict for one parameter cell; raises Undecidable inside the open gap."""
     prime_power_split(q0)
-    if variant not in ("full", "half"):
-        raise ValueError("variant must be 'full' or 'half'")
-    if variant == "half" and q0 % 2 == 0:
-        raise PreconditionViolated("half code requires odd q0")
-    q = q0**s
-    length = q + 1 if variant == "full" else (q + 1) // 2
-    dimension = length - 2 * s
+    length, dimension = code_shape(q0, s, variant)
     if dimension < 0:
         raise PreconditionViolated("2s exceeds the code length")
     d = min_distance_formula(q0, s, variant)
@@ -113,16 +101,15 @@ def sweep(q0: int, s_max: int, variant: str,
     """Reports for s = 1..s_max; undecidable cells are emitted, not errors."""
     out = []
     for s in range(1, s_max + 1):
-        q = q0**s
-        length = q + 1 if variant == "full" else (q + 1) // 2
-        if length - 2 * s < 0:
+        length, dimension = code_shape(q0, s, variant)
+        if dimension < 0:
             continue
         try:
             out.append(classify(q0, s, variant, caps))
         except Undecidable:
             out.append(ClassificationReport(
                 q0=q0, s=s, variant=variant, length=length,
-                dimension=length - 2 * s,
+                dimension=dimension,
                 d=min_distance_formula(q0, s, variant), rho=None,
                 perfect=None, quasi_perfect=None, maximal=None,
                 rule="open gap"))

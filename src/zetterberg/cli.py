@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .caps import load_caps
 from .classify import reports_to_csv, reports_to_markdown, sweep
@@ -96,10 +97,7 @@ def _cmd_thresholds(args, caps) -> int:
     elif args.format == "markdown":
         sys.stdout.write(table_to_markdown(args.parity, rows))
     else:
-        print(json.dumps([{
-            "q0": r.q0, "s_star_lower": r.s_star_lower,
-            "s_star_upper": r.s_star_upper, "s_prime_star": r.s_prime_star,
-            "gap": list(r.gap)} for r in rows], sort_keys=True))
+        print(json.dumps([asdict(r) for r in rows], sort_keys=True))
     return EXIT_OK
 
 

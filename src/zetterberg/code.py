@@ -17,6 +17,12 @@ F_q0 (degree 2s), divides sum(c_i * X^i).  Column i of the parity-check
 matrix is X^i mod M, so its first 2s columns are the identity and the code
 has the systematic basis e_j - (X^j mod M), j >= 2s; no linear solve is
 needed anywhere.
+
+`code_shape` is the one rule for a cell's (length, dimension) and for the
+half code's odd-q0 precondition.  `_codeword` assembles every word the
+searches and witnesses return from (position, coefficient) pairs, folds a
+half-code position t >= L to (t - L, -c) since xi^L = -1, and asserts the
+word's weight and zero syndrome.
 """
 
 from __future__ import annotations
@@ -32,6 +38,20 @@ from .gf import FieldContext
 from . import charsum, tower
 
 
+def code_shape(q0: int, s: int, variant: str) -> tuple[int, int]:
+    """(length, dimension) of the variant's code over F_q0 with q = q0^s.
+
+    The dimension length - 2s may be negative; each caller decides what that
+    means.  Raises ValueError for an unknown variant and PreconditionViolated
+    for a half code over even q0."""
+    if variant not in ("full", "half"):
+        raise ValueError("variant must be 'full' or 'half'")
+    if variant == "half" and q0 % 2 == 0:
+        raise PreconditionViolated("half code requires odd q0")
+    length = q0**s + 1 if variant == "full" else (q0**s + 1) // 2
+    return length, length - 2 * s
+
+
 @dataclass
 class ZetterbergCode:
     ctx: FieldContext
@@ -42,14 +62,8 @@ class ZetterbergCode:
 
     def __post_init__(self):
         ctx = self.ctx
-        if self.variant not in ("full", "half"):
-            raise ValueError("variant must be 'full' or 'half'")
-        if self.variant == "half" and ctx.p == 2:
-            raise PreconditionViolated("half code requires odd q0")
+        self.length, self.dimension = code_shape(ctx.q0, ctx.s, self.variant)
         self.xi = ctx.xi
-        n_full = ctx.q + 1
-        self.length = n_full if self.variant == "full" else n_full // 2
-        self.dimension = self.length - 2 * ctx.s
         if self.dimension < 0:
             raise PreconditionViolated(
                 f"2s = {2*ctx.s} exceeds length {self.length}")
@@ -146,6 +160,18 @@ def cyclic_shift(code: ZetterbergCode, word) -> list:
     return [code.ctx.neg(word[-1])] + list(word[:-1])
 
 
+def _codeword(code: ZetterbergCode, terms) -> list:
+    """The codeword with coefficient c at position t for each (t, c) in
+    terms.  A half-code position t >= L folds to (t - L, -c): xi^L = -1."""
+    word = [0] * code.length
+    for t, c in terms:
+        if t >= code.length:
+            t, c = t - code.length, code.ctx.neg(c)
+        word[t] = c
+    assert weight(word) == len(terms) and syndrome(code, word) == 0
+    return word
+
+
 def codeword_to_json(code: ZetterbergCode, word) -> dict:
     ctx = code.ctx
     return {
@@ -198,19 +224,16 @@ def min_distance_formula(q0: int, s: int, variant: str) -> int | None:
     """Closed-form minimum distance; None for the zero-dimensional case."""
     if q0 < 2 or s < 1:
         raise ValueError("q0 >= 2 and s >= 1 required")
+    code_shape(q0, s, variant)  # rejects an unknown variant or an even-q0 half code
     if variant == "full":
         if q0 % 2 == 0:
             if q0 == 2:
                 return 5 if s % 2 == 0 else 3
             return 4 if s % 2 == 0 else 3
         return 2
-    if variant == "half":
-        if q0 % 2 == 0:
-            raise PreconditionViolated("half code requires odd q0")
-        if q0 == 3:
-            return 5 if s >= 2 else None  # s=1 is the zero-dimensional [2,0]
-        return 4 if s % 2 == 0 else 3
-    raise ValueError("variant must be 'full' or 'half'")
+    if q0 == 3:
+        return 5 if s >= 2 else None  # s=1 is the zero-dimensional [2,0]
+    return 4 if s % 2 == 0 else 3
 
 
 def weight2_word(code: ZetterbergCode) -> list | None:
@@ -252,15 +275,7 @@ def weight3_word(code: ZetterbergCode) -> list | None:
             for v in range(code.ctx.q + 1):
                 b = ctx.mul(mz, code.h_powers[-v])  # xi^(-v) = xi^(q+1-v)
                 if tower.in_subgroup(ctx, b, "Fq0_star"):
-                    if v >= code.length:  # wrap into the half range: xi^L = -1
-                        v -= code.length
-                        b = ctx.neg(b)
-                    word = [0] * code.length
-                    word[0] = 1
-                    word[u] = a
-                    word[v] = b
-                    assert weight(word) == 3 and syndrome(code, word) == 0
-                    return word
+                    return _codeword(code, [(0, 1), (u, a), (v, b)])
     return None
 
 
@@ -282,11 +297,7 @@ def weight4_word(code: ZetterbergCode, caps: Caps) -> list | None:
                     target = ctx.neg(sig)
                     for (k, l, ck, cl) in seen.get(target, ()):
                         if k not in (i, j) and l not in (i, j):
-                            word = [0] * code.length
-                            word[k], word[l] = ck, cl
-                            word[i], word[j] = ci, cj
-                            assert weight(word) == 4 and syndrome(code, word) == 0
-                            return word
+                            return _codeword(code, [(k, ck), (l, cl), (i, ci), (j, cj)])
                     seen.setdefault(sig, []).append((i, j, ci, cj))
     return None
 
@@ -373,12 +384,7 @@ def weight3_witness_even(code: ZetterbergCode) -> list:
     a = ctx.div(ctx.mul(ti, ctx.pow(ctx.add(tj, 1), 2)), denom2)
     b = ctx.div(ctx.mul(tj, ctx.pow(ctx.add(ti, 1), 2)), denom2)
     assert tower.in_subgroup(ctx, a, "Fq0_star") and tower.in_subgroup(ctx, b, "Fq0_star")
-    word = [0] * code.length
-    word[0] = 1
-    word[i * step] = a
-    word[j * step] = b
-    assert weight(word) == 3 and syndrome(code, word) == 0
-    return word
+    return _codeword(code, [(0, 1), (i * step, a), (j * step, b)])
 
 
 def weight3_witness_half_odd(code: ZetterbergCode) -> list:
@@ -400,7 +406,7 @@ def weight3_witness_half_odd(code: ZetterbergCode) -> list:
     delta = ctx.mul(ctx.mul(ctx.add(sum_, 1), ctx.sub(sum_, 1)),
                     ctx.mul(ctx.add(diff, 1), ctx.sub(diff, 1)))
     # nonsquare in F_q0, hence (s odd) nonsquare in F_q, but a square in F_{q^2}
-    assert ctx.pow(delta, (ctx.q - 1) // 2) == ctx.neg(1)
+    assert tower.chi_field(ctx, delta, ctx.q) == -1
     sd = ctx.sqrt(delta)
     c1sq, c2sq = ctx.mul(c1, c1), ctx.mul(c2, c2)
     two = ctx.encode([2 % ctx.p])
@@ -411,20 +417,9 @@ def weight3_witness_half_odd(code: ZetterbergCode) -> list:
         assert ctx.pow(z, ctx.q + 1) == 1 and z not in (1, minus_one)
     assert zeta1 != zeta2
     assert ctx.add(ctx.add(ctx.mul(c1, zeta1), ctx.mul(c2, zeta2)), 1) == 0
-
-    def place(h: int, coef: int) -> tuple[int, int]:
-        t = code.h_index(h)
-        if t >= code.length:  # xi^(t) = -xi^(t - L)
-            return t - code.length, ctx.neg(coef)
-        return t, coef
-
     # The three positions are distinct: position 0 is taken only by +-1, which
     # the asserts above exclude, and zeta1, zeta2 share a position only if
     # zeta1 = -zeta2.  Then (c1 - c2) * zeta1 = -1 puts zeta1 in
     # H cap F_q0^*, whose order divides gcd(q + 1, q0 - 1) = 2, so zeta1 = +-1.
-    terms = [(0, 1), place(zeta1, c1), place(zeta2, c2)]
-    word = [0] * code.length
-    for t, c in terms:
-        word[t] = c
-    assert weight(word) == 3 and syndrome(code, word) == 0
-    return word
+    return _codeword(code, [(0, 1), (code.h_index(zeta1), c1),
+                            (code.h_index(zeta2), c2)])

@@ -25,6 +25,7 @@ import numpy as np
 
 from ._bulk import BulkField
 from .caps import DEFAULT_CAPS, Caps
+from .code import code_shape
 from .errors import (FormulaMismatch, PreconditionViolated, SizeCapExceeded,
                      Undecidable)
 from .gf import Field, FieldContext, make_field_for_q0, prime_power_split
@@ -206,8 +207,7 @@ def half_full_radius_equality_check(q0: int, s: int, caps: Caps = DEFAULT_CAPS) 
     (c*u) * xi^i, so the sets are equal; this tests that membership.  For odd
     q0 it holds: xi has order q+1, so u = -1.
     """
-    if q0 % 2 == 0:
-        raise PreconditionViolated("half code requires odd q0")
+    code_shape(q0, s, "half")  # rejects even q0
     _check_oracle_cap(q0, s, caps)
     ctx = make_field_for_q0(q0, s, caps=caps)
     return tower.in_subgroup(ctx, ctx.pow(ctx.xi, (ctx.q + 1) // 2), "Fq0_star")
@@ -449,7 +449,7 @@ def rho_shortcuts(q0: int, s: int) -> tuple[int, str] | None:
             return 2, "s=2"
         if s % 2 == 0:
             return 3, "even s>=4"
-        if s <= q0 // 2:
+        if s <= (thresholds.s_star_lower_even(q0) or 0):
             return 2, "odd s<=q0/2"
         if s >= thresholds.s_star_upper_even(q0):
             return 3, "s>=s_*"
@@ -460,7 +460,7 @@ def rho_shortcuts(q0: int, s: int) -> tuple[int, str] | None:
             return 3, "q0=3"
         if s % 2 == 0:
             return 3, "even s"
-        if 4 * (s - 1) ** 2 * q0 < (q0 - 1) ** 2:
+        if s <= (thresholds.s_star_lower_odd(q0) or 0):
             return 2, "s<=s^*"
         if s >= thresholds.s_star_upper_odd(q0):
             return 3, "s>=s_*"

@@ -102,10 +102,4 @@ def in_scaled_H(ctx: FieldContext, y: int) -> bool:
     if y == 0:
         return True
     w = ctx.pow(y, ctx.q + 1)
-    # w must land in F_q0
-    if ctx.pow(w, ctx.q0) != w:
-        return False
-    if ctx.p == 2:
-        return True
-    # odd: w itself must be a square of F_q0^*
-    return ctx.pow(w, (ctx.q0 - 1) // 2) == 1
+    return in_level(ctx, w, "q0") and (ctx.p == 2 or chi_field(ctx, w, ctx.q0) == 1)

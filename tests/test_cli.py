@@ -130,6 +130,23 @@ def test_classify_json_format():
     assert by_s[2]["perfect"] and by_s[4]["quasi_perfect"]
 
 
+def test_cli_outputs_match_golden(capsys):
+    # stdout and exit code per command, recorded at commit 550f131
+    for case in json.loads((GOLDEN / "cli_outputs.json").read_text()):
+        assert cli.main(case["args"]) == case["returncode"], case["args"]
+        assert capsys.readouterr().out == case["stdout"], case["args"]
+
+
+def test_even_q0_half_sweep_is_usage_error(capsys):
+    # s = 1, 2, 3 give no code of nonnegative dimension, yet are rejected too
+    for s_max in ("1", "2", "3"):
+        for fmt in ("markdown", "json"):
+            args = ["classify", "--q0", "2", "--s-max", s_max, "--variant", "half",
+                    "--format", fmt]
+            assert cli.main(args) == 2
+            assert capsys.readouterr() == ("", "error: half code requires odd q0\n")
+
+
 def test_mindist_cap_exceeded_exit_code():
     # d = 4 needs the weight-4 pass, but length 65 is over the search cap
     r = run_cli("mindist", "--q0", "8", "--s", "2", "--variant", "full",

@@ -4,8 +4,10 @@ import random
 import pytest
 
 from zetterberg import code as C
+from zetterberg.caps import Caps
+from zetterberg.classify import classify
 from zetterberg.errors import PreconditionViolated
-from zetterberg.gf import make_field_for_q0
+from zetterberg.gf import factorize, make_field_for_q0
 from zetterberg.tower import subfield_elements, subgroup_elements
 
 
@@ -16,6 +18,29 @@ def test_build_code_parameters():
     assert (half.length, half.dimension) == (13, 9)
     trivial = C.build_code(make_field_for_q0(3, 1), "half")
     assert (trivial.length, trivial.dimension) == (2, 0)
+
+
+def _shape_or_error(make):
+    try:
+        shape = make()
+    except (ValueError, PreconditionViolated) as e:
+        return type(e), str(e)
+    return shape if isinstance(shape, tuple) else (shape.length, shape.dimension)
+
+
+def test_code_shape_is_the_one_shape_rule():
+    # fields up to q^2 = 31^8 lie above the default ambient cap
+    caps = Caps(max_ambient_order=2**40)
+    for q0 in (q0 for q0 in range(2, 33) if len(factorize(q0)) == 1):
+        for s in range(1, 5):
+            ctx = make_field_for_q0(q0, s, caps=caps)
+            for variant in ("full", "half", "bogus"):
+                shape = _shape_or_error(lambda: C.code_shape(q0, s, variant))
+                assert _shape_or_error(lambda: C.ZetterbergCode(ctx, variant)) == shape
+                assert _shape_or_error(lambda: classify(q0, s, variant)) == shape
+                if variant == "full":
+                    q = q0**s
+                    assert shape == (q + 1, q + 1 - 2 * s)
 
 
 def test_h_powers_are_the_subgroup_walk():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetterberg import _bulk
+from zetterberg import _bulk, thresholds
 from zetterberg import radius as R
 from zetterberg._bulk import BulkField, covering_layers
 from zetterberg.caps import Caps
@@ -274,6 +274,48 @@ def test_shortcut_rules():
     assert R.rho_shortcuts(7, 4) == (3, "even s")
     assert R.rho_shortcuts(4, 3) is None
     assert R.rho_shortcuts(16, 9) is None
+
+
+def _rho_shortcuts_inline_bounds(q0, s):
+    # the rules with the s^* bounds written out as inequalities
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    if q0 % 2 == 0:
+        if s == 1:
+            return 1, "s=1"
+        if s == 2:
+            return 2, "s=2"
+        if s % 2 == 0:
+            return 3, "even s>=4"
+        if s <= q0 // 2:
+            return 2, "odd s<=q0/2"
+        if s >= thresholds.s_star_upper_even(q0):
+            return 3, "s>=s_*"
+    else:
+        if s == 1:
+            return 2, "s=1"
+        if q0 == 3:
+            return 3, "q0=3"
+        if s % 2 == 0:
+            return 3, "even s"
+        if 4 * (s - 1) ** 2 * q0 < (q0 - 1) ** 2:
+            return 2, "s<=s^*"
+        if s >= thresholds.s_star_upper_odd(q0):
+            return 3, "s>=s_*"
+    for d in range(3, s, 2):
+        if s % d == 0:
+            decided = _rho_shortcuts_inline_bounds(q0, d)
+            if decided is not None and decided[0] == 3:
+                return 3, f"divisor s'={d}"
+    return None
+
+
+def test_shortcut_bounds_are_the_s_star_thresholds():
+    for q0 in range(2, 513):
+        if len(factorize(q0)) != 1:
+            continue
+        for s in range(1, 61):
+            assert R.rho_shortcuts(q0, s) == _rho_shortcuts_inline_bounds(q0, s), (q0, s)
 
 
 def test_shortcut_divisor_rule():
