@@ -7,7 +7,10 @@ below the mantissa limit of their dtype, so they are exact too).
 
 `covering_layers`, a plain BFS over a whole additive group, is not on any
 production path: the tests use it as the element-level reference for the
-oracle, which works on norm classes instead (`radius`).
+oracle, which works on norm classes instead (`radius`).  Nor are the tables
+of size q (`build_chi_table`, `build_log_table`, `build_trace_table_char2`):
+the criterion scan evaluates its characters per element, and the tests and
+the benchmark's traced pass still use the tables.
 """
 
 from __future__ import annotations
@@ -21,6 +24,20 @@ from .gf import Field
 _POWERS_BLOCK = 1 << 16  # digit rows per product in `powers`
 
 
+def digit_dtype(p: int, k: int):
+    """The float dtype of exact digit products in F_{p^k}, or None for a
+    field too large for exact float digit kernels.
+
+    A digit product sums k^2 terms below p^2 times a matrix entry below p;
+    this is the smaller float dtype that holds such sums exactly, with room
+    for _reduce (codes themselves are summed in float64).
+    """
+    bound = k**2 * (p - 1) ** 3
+    if bound >= 2**52 or p**k > 2**53:
+        return None
+    return np.float32 if bound < 2**23 else np.float64
+
+
 class BulkField:
     """Array-at-a-time companion of a scalar Field."""
 
@@ -31,17 +48,9 @@ class BulkField:
         self.order = F.order
         self._pk = np.array([F.p**i for i in range(F.k)], dtype=np.int64)
         self._pk_float = self._pk.astype(np.float64)
-        # a digit product sums k^2 terms below p^2 times a matrix entry below
-        # p; pick the smaller float dtype that holds such sums exactly, with
-        # room for _reduce (codes themselves are summed in float64)
-        bound = F.k**2 * (F.p - 1) ** 3
-        if bound >= 2**52 or F.order > 2**53:
-            self._dtype = None  # the digit kernels refuse such fields
-        elif bound < 2**23:
-            self._dtype = np.float32
-        else:
-            self._dtype = np.float64
+        self._dtype = digit_dtype(F.p, F.k)
         self._frob = [np.eye(F.k, dtype=self._dtype)]  # Frobenius powers 0, 1, ...
+        self._trace = {}  # subfield degree -> digit matrix of the trace
 
     # -- digit representation
 
@@ -84,7 +93,12 @@ class BulkField:
         """Digit matrix of y -> y^(p^e), composed from the matrix of y -> y^p."""
         frob = self._frob
         if len(frob) == 1:
-            rows = [self.F.decode(self.F.pow(int(c), self.p)) for c in self._pk]
+            # row i is (X^i)^p = (X^p)^i; code p is X (k >= 2)
+            F, rows, y = self.F, [], 1
+            xp = F.pow(F.p, F.p) if F.k > 1 else 1
+            for _ in range(F.k):
+                rows.append(F.decode(y))
+                y = F.mul(y, xp)
             frob.append(np.array(rows, dtype=self._dtype))
         while len(frob) <= e:
             frob.append(self._reduce(frob[-1] @ frob[1]))
@@ -151,8 +165,10 @@ class BulkField:
         powers p^(sub_degree*i), an F_p-linear map."""
         if self.k % sub_degree:
             raise ValueError("subfield degree must divide k")
-        M = self._reduce(sum(self._frobenius_matrix(e) for e in range(0, self.k, sub_degree)))
-        return self._codes(self._reduce(self._digits(codes) @ M))
+        if sub_degree not in self._trace:
+            self._trace[sub_degree] = self._reduce(
+                sum(self._frobenius_matrix(e) for e in range(0, self.k, sub_degree)))
+        return self._codes(self._reduce(self._digits(codes) @ self._trace[sub_degree]))
 
     @cached_property
     def _legendre(self) -> np.ndarray:

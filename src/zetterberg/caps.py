@@ -23,7 +23,7 @@ class Caps:
     oracle_cap: int = 2**20
     # character-evaluation budget for a criterion scan (counted as consumed)
     scan_cap: int = 2**28
-    # largest field order q the criterion scan will build tables for
+    # largest field order q the criterion scan will walk
     criterion_order_cap: int = 2**25
     # weight-4 exhaustive search only for codes up to this length
     exhaustive_len_cap: int = 64

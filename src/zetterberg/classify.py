@@ -13,7 +13,7 @@ import io
 from dataclasses import asdict, dataclass
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import PreconditionViolated, Undecidable
+from .errors import Undecidable
 from .code import code_shape, min_distance_formula
 from .gf import prime_power_split
 from .radius import covering_radius
@@ -71,8 +71,6 @@ def classify(q0: int, s: int, variant: str, caps: Caps = DEFAULT_CAPS) -> Classi
     """Verdict for one parameter cell; raises Undecidable inside the open gap."""
     prime_power_split(q0)
     length, dimension = code_shape(q0, s, variant)
-    if dimension < 0:
-        raise PreconditionViolated("2s exceeds the code length")
     d = min_distance_formula(q0, s, variant)
     if dimension == 0 or d is None:
         return ClassificationReport(
@@ -99,14 +97,13 @@ def classify(q0: int, s: int, variant: str, caps: Caps = DEFAULT_CAPS) -> Classi
 def sweep(q0: int, s_max: int, variant: str,
           caps: Caps = DEFAULT_CAPS) -> list[ClassificationReport]:
     """Reports for s = 1..s_max; undecidable cells are emitted, not errors."""
+    prime_power_split(q0)
     out = []
     for s in range(1, s_max + 1):
-        length, dimension = code_shape(q0, s, variant)
-        if dimension < 0:
-            continue
         try:
             out.append(classify(q0, s, variant, caps))
         except Undecidable:
+            length, dimension = code_shape(q0, s, variant)
             out.append(ClassificationReport(
                 q0=q0, s=s, variant=variant, length=length,
                 dimension=dimension,

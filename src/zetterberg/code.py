@@ -41,8 +41,9 @@ from . import charsum, tower
 def code_shape(q0: int, s: int, variant: str) -> tuple[int, int]:
     """(length, dimension) of the variant's code over F_q0 with q = q0^s.
 
-    The dimension length - 2s may be negative; each caller decides what that
-    means.  Raises ValueError for an unknown variant and PreconditionViolated
+    The dimension length - 2s is nonnegative for q0 >= 2 and s >= 1:
+    2^s + 1 - 2s >= 1 for full codes, (3^s + 1)/2 - 2s >= 0 for odd half
+    codes.  Raises ValueError for an unknown variant and PreconditionViolated
     for a half code over even q0."""
     if variant not in ("full", "half"):
         raise ValueError("variant must be 'full' or 'half'")
@@ -64,9 +65,6 @@ class ZetterbergCode:
         ctx = self.ctx
         self.length, self.dimension = code_shape(ctx.q0, ctx.s, self.variant)
         self.xi = ctx.xi
-        if self.dimension < 0:
-            raise PreconditionViolated(
-                f"2s = {2*ctx.s} exceeds length {self.length}")
 
     @cached_property
     def h_powers(self) -> list:

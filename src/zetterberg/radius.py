@@ -7,8 +7,10 @@ oracle     -- exact BFS layering of the syndrome space F_{q^2} under single
               cosets, which are told apart by the norm to F_q, and works in
               F_q only, with tables of size O(q).
 criterion  -- one scan of F_q deciding rho in {2, 3} by a square pattern
-              (odd q0) or a trace pattern (even q0), feasible far beyond
-              the oracle.
+              (odd q0) or a trace pattern (even q0).  It tests one power
+              g^j of the generator per orbit of the pattern's symmetries
+              j -> j + d and j -> p*j, block by block, so its memory does
+              not grow with q; feasible far beyond the oracle.
 shortcuts  -- closed-form parameter rules (threshold inequalities et al.).
 
 The dispatcher tries them cheapest first (shortcuts, criterion, oracle) and,
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bulk import BulkField
+from ._bulk import BulkField, digit_dtype
 from .caps import DEFAULT_CAPS, Caps
 from .code import code_shape
 from .errors import (FormulaMismatch, PreconditionViolated, SizeCapExceeded,
@@ -31,7 +33,8 @@ from .errors import (FormulaMismatch, PreconditionViolated, SizeCapExceeded,
 from .gf import Field, FieldContext, make_field_for_q0, prime_power_split
 from . import thresholds, tower
 
-_BLOCK = 1 << 15  # scan block length once the full tables are built
+_BLOCK = 1 << 15  # the most residues one criterion scan block tests
+_WIDE = 1 << 12  # a 2-D pass matrix this small costs less than a call per test
 
 
 @dataclass
@@ -234,16 +237,9 @@ def _criterion_field(q0: int, s: int, caps: Caps) -> Field:
     if q0**s > caps.criterion_order_cap:
         raise SizeCapExceeded(
             f"q = {q0 ** s} exceeds criterion cap {caps.criterion_order_cap}")
+    if digit_dtype(p, s * m) is None:
+        raise SizeCapExceeded(f"q = {q0 ** s} is too large for exact float digit kernels")
     return Field(p, s * m)
-
-
-def _scan_blocks(n1: int, lazy: int) -> list[tuple[int, int]]:
-    """Index ranges [j0, j1) covering 0 <= j < n1: the lazy prefix [0, lazy)
-    in two halves, then blocks of _BLOCK.  Every range is also cut at the
-    multiples of _BLOCK, so an early exit never scans past the block a plain
-    table scan would have finished."""
-    cuts = sorted({lazy // 2, lazy, n1}.union(range(_BLOCK, n1, _BLOCK)) - {0})
-    return list(zip([0] + cuts[:-1], cuts))
 
 
 def _survivors(cur: np.ndarray, n_tests: int, passes, budget: _EvalBudget) -> np.ndarray:
@@ -251,14 +247,14 @@ def _survivors(cur: np.ndarray, n_tests: int, passes, budget: _EvalBudget) -> np
 
     passes(cur, t0, t1) is the (len(cur), t1 - t0) pass matrix of tests
     [t0, t1).  The tests run one at a time until the survivors times the
-    tests left fit in the size of the first test; the rest is then one 2-D
-    call.  Either way the budget is charged, call by call, what a loop of
-    one test at a time charges: the entries still alive before each test,
-    read off a cumulative AND along the test axis.
+    tests left fit in the size of the first test, or in _WIDE; the rest is
+    then one 2-D call.  Either way the budget is charged, call by call, what
+    a loop of one test at a time charges: the entries still alive before
+    each test, read off a cumulative AND along the test axis.
     """
     first, t = cur.size, 0
     while cur.size and t < n_tests:
-        width = n_tests - t if cur.size * (n_tests - t) <= first else 1
+        width = n_tests - t if cur.size * (n_tests - t) <= max(first, _WIDE) else 1
         budget.spend(cur.size)
         ok = passes(cur, t, t + width)
         if width > 1:
@@ -272,120 +268,108 @@ def _survivors(cur: np.ndarray, n_tests: int, passes, budget: _EvalBudget) -> np
     return cur
 
 
-def _zech_squares(bf: BulkField, exp: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """good[i]: y (y - 1) is a nonzero square for y = g^i = exp[i].
-
-    y - 1 differs from y in digit 0 only, so its code is exp[i] - 1, or
-    exp[i] + p - 1 where digit 0 is 0; and chi(y) = (-1)^i.  Built in
-    blocks of even length, so the parity pattern starts even in each.
-    """
-    p, n1 = bf.p, exp.size
-    good = np.empty(n1, dtype=bool)
-    for i in range(0, n1, 1 << 20):
-        e = exp[i:i + (1 << 20)]
-        t = chi[e - 1 + p * (e % p == 0)]
-        t[1::2] *= -1
-        good[i:i + e.size] = t == 1
-    return good
-
-
-def _pattern(bf: BulkField, q0: int, tests: np.ndarray, logs: np.ndarray,
-             exp: np.ndarray, tables: bool):
+def _pattern(bf: BulkField, q0: int, tests: np.ndarray):
     """(keep, passes) for `_scan`: keep(x) filters the candidate codes x
-    beyond j mod d != 0; passes(j, t0, t1) is the pass matrix of tests
-    [t0, t1) on log indices j, per element on the exp prefix, or by lookup
-    in the full tables, built here from the full exp when `tables`.
+    beyond the orbit walk; passes(x, j, t0, t1) is the pass matrix of tests
+    [t0, t1) on the elements x = g^j, by per-element kernels.
 
     Odd q0: x passes the square beta of F_q0 when x (x - beta) is a nonzero
-    square.  Per element, chi(x - beta) == chi(x) = (-1)^j; by table,
-    x (x - beta) = beta^2 y (y - 1) for y = g^(j - log beta), one lookup in
-    the Zech table of `_zech_squares`.
+    square, that is when chi(x - beta) == chi(x) = (-1)^j.
     Even q0 = 2^m: x needs Tr(x) = 0 (trace to F_q0), and passes b when
-    Tr(1/(1 + b x)) is 0 or 1 (1 + b x != 0: x is not in F_q0).  Per
-    element, the product, inverse and trace kernels; by table,
-    b x = g^(j + log b) and 1/y = g^(-log y).  (A log-domain table of
-    Tr(1/(1+g^i)) was tried and is slower: it needs extra log and inverse
-    scatters.)
+    Tr(1/(1 + b x)) is 0 or 1 (1 + b x != 0: x is not in F_q0).
     """
     if q0 % 2:
+        digits = bf.decode(tests)
+
         def keep(x):
-            return True
-        if tables:
-            good = _zech_squares(bf, exp, bf.build_chi_table(exp))
+            return np.ones(x.size, dtype=bool)
 
-            def passes(j, t0, t1):
-                # good[(j - log beta) mod (q-1)]; a negative index wraps by q-1
-                return good[j[:, None] - logs[None, t0:t1]]
-        else:
-            digits = bf.decode(tests)
-
-            def passes(j, t0, t1):
-                y = bf.encode(bf.decode(exp[j])[:, None, :] - digits[None, t0:t1, :])
-                signs = 1 - 2 * (j & 1)
-                return bf.chi(y.ravel()).reshape(y.shape) == signs[:, None]
+        def passes(x, j, t0, t1):
+            y = bf.encode(bf.decode(x)[:, None, :] - digits[None, t0:t1, :])
+            signs = 1 - 2 * (j & 1)
+            return bf.chi(y.ravel()).reshape(y.shape) == signs[:, None]
         return keep, passes
     m = q0.bit_length() - 1
-    if tables:
-        log, tr = bf.build_log_table(exp), bf.build_trace_table_char2(m)
 
-        def keep(x):
-            return tr[x] == 0
+    def keep(x):
+        return bf.trace(x, m) == 0
 
-        def passes(j, t0, t1):
-            # negative indices wrap by q-1: j + log b - (q-1), and -log y
-            y = exp[j[:, None] + (logs[None, t0:t1] - exp.size)] ^ 1
-            return tr[exp[-log[y]]] <= 1
-    else:
-        def keep(x):
-            return bf.trace(x, m) == 0
-
-        def passes(j, t0, t1):
-            y = np.concatenate([bf.mul(exp[j], tests[t:t + 1]) for t in range(t0, t1)]) ^ 1
-            return (bf.trace(bf.inverse(y), m) <= 1).reshape(t1 - t0, -1).T
+    def passes(x, j, t0, t1):
+        y = np.concatenate([bf.mul_const(x, int(b)) for b in tests[t0:t1]]) ^ 1
+        return (bf.trace(bf.inverse(y), m) <= 1).reshape(t1 - t0, -1).T
     return keep, passes
 
 
+def _orbit_representatives(j: np.ndarray, d: int, p: int, k: int) -> np.ndarray:
+    """The j that are smallest in their orbit {j * p^i mod d : i < k}."""
+    t = j
+    for _ in range(k - 1):
+        t = t * p % d
+        smallest = j <= t
+        j, t = j[smallest], t[smallest]
+    return j
+
+
+def _orbit_sizes(j: np.ndarray, d: int, p: int) -> np.ndarray:
+    """The least i >= 1 with j * p^i = j mod d, for each j (p^k = 1 mod d)."""
+    size = np.zeros_like(j)
+    t, i = j * p % d, 1
+    while not size.all():
+        size[(size == 0) & (t == j)] = i
+        t, i = t * p % d, i + 1
+    return size
+
+
 def _scan(K: Field, q0: int, budget: _EvalBudget, count_all: bool = False):
-    """The criterion's witnesses x = g^j in F_q, in ascending j: returns
-    (first witness or None, count), with count only exact when count_all.
+    """The criterion's first witness x = g^j in F_q (smallest j) and the
+    witness count: returns (first witness or None, count), with count only
+    exact when count_all.
 
     The tests are the subgroup <g^d> of F_q0^* in ascending code order: the
     nonzero squares of F_q0 for odd q0 (d = 2(q-1)/(q0-1)), all of F_q0^*
-    for even q0 (d = (q-1)/(q0-1)).  The candidates are the j with
-    j mod d != 0 that `_pattern`'s keep admits, and `_survivors` runs the
-    tests on them.  The first (q-1) >> 8 powers are tested per element on a
-    short exp prefix; the full tables are built only when that prefix holds
-    no witness (at once when counting).
+    for even q0 (d = (q-1)/(q0-1)).  The witness indices j form a union of
+    orbits of j -> j + d (x -> c x for c in <g^d>, which permutes the tests)
+    and j -> p j (x -> x^p, likewise).  So the scan walks only the residues
+    0 < j < d that are smallest in their orbit under j -> p j mod d, in
+    ascending j: the smallest witness index is one of them.  The count is
+    (q-1)/d times the orbit sizes of the witness residues.
 
-    Even q0 with q = q0^2 has no candidate, so the scan returns before any
-    table is built: Tr(x) = x + x^q0 vanishes exactly when x^q0 = x, that
-    is on F_q0, which j mod d != 0 excludes.
+    The residues go in blocks of x = g^j0 * g^i (i < block), the g^i from
+    a short exp table.  The first block has (q-1) >> 9 residues (at least
+    2^8), so a witness found early costs little; each next block doubles,
+    up to _BLOCK, where counting starts.  `_pattern`'s keep filters each
+    block and `_survivors` runs the tests on what is left.
+
+    Even q0 with q = q0^2 has no candidate, so the scan returns at once:
+    Tr(x) = x + x^q0 vanishes exactly when x^q0 = x, that is on F_q0, which
+    j mod d != 0 excludes.
     """
     if q0 % 2 == 0 and K.order == q0 * q0:
         return None, 0
     n1 = K.order - 1
     d = n1 // (q0 - 1) * (2 if q0 % 2 else 1)
-    sub = np.array(K.cyclic_subgroup(d), dtype=np.int64)
-    by_code = np.argsort(sub)
-    tests, logs = sub[by_code], by_code * d
-    lazy = 0 if count_all else n1 >> 8
     bf = BulkField(K)
-    if lazy:
-        exp = bf.build_exp(lazy)
-        keep, passes = _pattern(bf, q0, tests, logs, exp, tables=False)
-    first, count = None, 0
-    for j0, j1 in _scan_blocks(n1, lazy):
-        if j0 == lazy:
-            exp = bf.build_exp()
-            keep, passes = _pattern(bf, q0, tests, logs, exp, tables=True)
-        j = np.arange(j0, j1)
-        cur = _survivors(j[(j % d != 0) & keep(exp[j0:j1])], tests.size, passes, budget)
+    tests = np.sort(bf.powers(K.pow(K.generator, d), n1 // d))
+    keep, passes = _pattern(bf, q0, tests)
+    size = _BLOCK if count_all else min(_BLOCK, max(1 << 8, n1 >> 9))
+    first, count, exp, j0 = None, 0, np.empty(0, dtype=np.int64), 0
+    while j0 < d:
+        n = min(size, d - j0)
+        if exp.size < n:
+            exp = bf.build_exp(n)
+        j = _orbit_representatives(np.arange(max(j0, 1), j0 + n), d, K.p, K.k)
+        x = exp[j] if j0 == 0 else bf.mul_const(exp[j - j0], K.pow(K.generator, j0))
+        kept = keep(x)
+        j, x = j[kept], x[kept]
+        cur = _survivors(np.arange(j.size), tests.size,
+                         lambda i, t0, t1: passes(x[i], j[i], t0, t1), budget)
         if cur.size:
             if first is None:
-                first = int(exp[cur[0]])
-            count += int(cur.size)
+                first = int(x[cur[0]])
+            count += n1 // d * int(_orbit_sizes(j[cur], d, K.p).sum())
             if not count_all:
                 return first, count
+        j0, size = j0 + n, min(2 * size, _BLOCK)
     return first, count
 
 

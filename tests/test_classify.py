@@ -122,6 +122,12 @@ def test_sweep_skips_negative_dimension():
     assert [r.s for r in rows] == [1, 2]  # s=2 gives [5,1]; s=1 gives [2,0]
 
 
+def test_sweep_rejects_a_q0_that_is_no_prime_power():
+    for q0 in (0, 1, 6):
+        with pytest.raises(ValueError, match="factorize|prime power"):
+            sweep(q0, 3, "full")
+
+
 def test_odd_full_code_classified_too():
     r = classify(5, 2, "full")
     assert r.d == 2 and r.rho == 3

@@ -263,6 +263,18 @@ def test_scan_cap_enforced():
         R.rho_criterion_odd(17, 3, caps=tight)
 
 
+def test_digit_kernel_limit_is_a_cap(monkeypatch):
+    # with criterion_order_cap lifted, a field beyond exact float digits is
+    # refused like any cap, before the field is even built
+    def refuse(*args):
+        raise AssertionError("field built")
+
+    monkeypatch.setattr(R, "Field", refuse)
+    lifted = Caps(criterion_order_cap=2**60)
+    with pytest.raises(SizeCapExceeded, match="exact float digit kernels"):
+        R.rho_criterion(200003, 2, caps=lifted)
+
+
 def test_shortcut_rules():
     assert R.rho_shortcuts(3, 7) == (3, "q0=3")
     assert R.rho_shortcuts(16, 5) == (2, "odd s<=q0/2")
@@ -459,8 +471,11 @@ def test_even_scan_matches_naive_double_loop():
 
 
 def _naive_scan(q0, s):
-    """Criterion witnesses in generator-power order, by plain double loops,
-    and the character evaluations an exhaustive scan charges for them."""
+    """The criterion by plain double loops over every x = g^j, 0 <= j < q-1:
+    the field, d, the witness indices j in ascending order, and the
+    evaluations an exhaustive scan charges on each orbit representative r
+    (0 < r < d, r <= r * p^i mod d, a candidate): one per test run, up to
+    the first test that r fails."""
     from zetterberg.gf import Field, find_irreducible, prime_power_split
     p, m = prime_power_split(q0)
     K = Field(p, s * m, find_irreducible(p, s * m))
@@ -469,54 +484,76 @@ def _naive_scan(q0, s):
     for _ in range(K.order - 2):
         powers.append(K.mul(powers[-1], K.generator))
     if q0 % 2:
-        squares_q = {K.mul(x, x) for x in range(1, K.order)}
+        squares_q = set(powers[0::2])
         tests = sorted({K.mul(c, c) for c in sub if c})
-        candidates = [x for x in powers if x not in tests]
+
+        def candidate(x):
+            return x not in tests
 
         def passes(x, b):
             return K.mul(x, K.sub(x, b)) in squares_q
     else:
+        log = {x: j for j, x in enumerate(powers)}
         tests = [b for b in sub if b]
-        candidates = [a for a in powers if a not in sub and K.trace_to(a, m) == 0]
+        tr = [0]  # Tr to F_q0 of every code, by additivity over the bits
+        for i in range(K.k):
+            t = K.trace_to(1 << i, m)
+            tr += [v ^ t for v in tr]
 
-        def passes(a, b):
-            return K.trace_to(K.inv(K.add(1, K.mul(b, a))), m) in (0, 1)
-    witnesses, spent = [], 0
-    for x in candidates:
-        for b in tests:
-            spent += 1
-            if not passes(x, b):
-                break
-        else:
-            witnesses.append(x)
-    return witnesses, spent
+        def candidate(a):
+            return a not in sub and tr[a] == 0
+
+        def passes(a, b):  # 1/y = g^(-log y); y = 0 would put a in F_q0
+            return tr[powers[-log[K.add(1, K.mul(b, a))]]] in (0, 1)
+    d = (K.order - 1) // len(tests)
+    witnesses = [j for j, x in enumerate(powers)
+                 if candidate(x) and all(passes(x, b) for b in tests)]
+    charges = {}
+    for r in range(1, d):
+        if candidate(powers[r]) and all(r <= r * p**i % d for i in range(1, s * m)):
+            charges[r] = next((i + 1 for i, b in enumerate(tests)
+                               if not passes(powers[r], b)), len(tests))
+    return K, d, witnesses, charges
 
 
 def test_scan_matches_naive_double_loops():
-    # decision, first witness in scan order, witness count, and the exact
-    # budget of every exhaustive scan
-    # (19,3) and (23,3) are rho=2 with a nonempty lazy prefix, so their
-    # table phase starts after a prefix scanned element by element
+    # decision, first witness, witness count, and the exact budget of every
+    # exhaustive scan; (19,3) and (23,3) are rho=2 and span two and three
+    # blocks of their 256-residue start
     for q0, s in [(3, 2), (5, 2), (13, 3), (17, 3), (19, 3), (23, 3), (4, 5), (16, 3),
                   (4, 2)]:
-        naive, spent = _naive_scan(q0, s)
+        K, _, naive, charges = _naive_scan(q0, s)
         rep = R.rho_criterion(q0, s)
         assert rep.rho == (3 if naive else 2)
         field = rep.witness_field
         first = None if rep.witness is None else \
             sum(d * field["p"] ** i for i, d in enumerate(rep.witness))
-        assert first == (naive[0] if naive else None)
+        assert first == (K.pow(K.generator, naive[0]) if naive else None)
         K = R._criterion_field(q0, s, Caps())
         if s % 2:  # both parities: (4,5) has 45 witnesses, (16,3) none
             if q0 % 2:
                 assert R.witness_count_odd(q0, s) == len(naive)
             budget = R._EvalBudget(Caps().scan_cap)
             assert R._scan(K, q0, budget, count_all=True) == (first, len(naive))
-            assert budget.used == spent
+            assert budget.used == sum(charges.values())
         if not naive:  # a rho=2 scan is exhaustive too
             budget = R._EvalBudget(Caps().scan_cap)
             assert R._scan(K, q0, budget) == (None, 0)
-            assert budget.used == spent
+            assert budget.used == sum(charges.values())
+
+
+def test_criterion_witnesses_are_closed_under_the_scan_symmetries():
+    # the witness indices are a union of orbits of j -> j + d and j -> p j
+    # (mod q - 1), which is what lets the scan test one residue per orbit
+    for q0 in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        p, _ = prime_power_split(q0)
+        s = 2
+        while q0 ** s <= 1 << 14:
+            K, d, naive, _ = _naive_scan(q0, s)
+            n1, witnesses = K.order - 1, set(naive)
+            assert {(j + d) % n1 for j in witnesses} == witnesses, (q0, s)
+            assert {p * j % n1 for j in witnesses} == witnesses, (q0, s)
+            s += 1
 
 
 def test_even_q0_with_s_2_builds_no_table(monkeypatch):
@@ -534,10 +571,23 @@ def test_even_q0_with_s_2_builds_no_table(monkeypatch):
 
 
 def test_early_exit_budget_pinned():
-    # evaluations charged by rho=3 scans that stop in the lazy prefix, where
-    # the last tests of a block run as one 2-D call; one evaluation less of
+    # a rho=3 scan stops after the block that holds its first witness (the
+    # first block has (q-1) >> 9 residues, at least 2^8; each next one
+    # doubles) and charges what the naive loop charges the orbit
+    # representatives below that block's end
+    for q0, s in [(13, 3), (4, 5)]:
+        K, d, naive, charges = _naive_scan(q0, s)
+        end, size = 0, max(1 << 8, (K.order - 1) >> 9)
+        while end <= naive[0]:
+            end, size = min(end + size, d), min(2 * size, R._BLOCK)
+        budget = R._EvalBudget(Caps().scan_cap)
+        first = R._scan(R._criterion_field(q0, s, Caps()), q0, budget)[0]
+        assert first == K.pow(K.generator, naive[0])
+        assert budget.used == sum(c for r, c in charges.items() if r < end)
+    # the same charge at cells too large for the naive loop here, where the
+    # last tests of a block run as one 2-D call; one evaluation less of
     # scan_cap stops each scan with SizeCapExceeded
-    for (q0, s), used in {(1849, 2): 15229, (19, 5): 9518, (43, 4): 13218}.items():
+    for (q0, s), used in {(1849, 2): 2795, (19, 5): 8877, (43, 4): 12370}.items():
         K = R._criterion_field(q0, s, Caps())
         budget = R._EvalBudget(Caps().scan_cap)
         assert R._scan(K, q0, budget)[0] is not None
@@ -546,38 +596,24 @@ def test_early_exit_budget_pinned():
             R._scan(K, q0, R._EvalBudget(used - 1))
 
 
-def test_table_phase_does_no_field_arithmetic(monkeypatch):
-    # once the full tables exist, each test is a table lookup on log
-    # indices: for odd q0 no per-beta subtraction and no digit decoding, for
-    # even q0 no product, inverse or trace kernel.  (16,3) is rho=2 with a
-    # 15-element lazy prefix, whose kernels run before the tables are built.
-    built, called = [], []
+def test_scan_holds_no_table_of_size_q(monkeypatch):
+    # the scan forms its elements block by block from an exp table of at
+    # most _BLOCK powers, and builds no chi, log or trace table
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table of size q was built")
 
-    def mark(fn):
-        def build(*args, **kwargs):
-            built.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return build
+    build_exp = BulkField.build_exp
 
-    def refuse(fn):
-        def guarded(*args, **kwargs):
-            if built:
-                raise AssertionError(f"{fn.__name__} called in the table phase")
-            called.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return guarded
+    def short_exp(self, n=None):
+        assert n is not None and n <= R._BLOCK
+        return build_exp(self, n)
 
-    for name in ["build_chi_table", "build_trace_table_char2"]:
-        monkeypatch.setattr(BulkField, name, mark(getattr(BulkField, name)))
-    for name in ["sub_const", "decode", "mul", "inverse", "trace"]:
-        monkeypatch.setattr(BulkField, name, refuse(getattr(BulkField, name)))
-    assert R.witness_count_odd(7, 3) == 39
-    assert built == ["build_chi_table"]
-    built.clear()
-    called.clear()
-    assert R.rho_criterion_even(16, 3).rho == 2
-    assert built == ["build_trace_table_char2"]
-    assert {"mul", "inverse", "trace"} <= set(called)
+    for name in ["build_chi_table", "build_log_table", "build_trace_table_char2"]:
+        monkeypatch.setattr(BulkField, name, refuse)
+    monkeypatch.setattr(BulkField, "build_exp", short_exp)
+    assert R.witness_count_odd(5, 9) == 488280
+    for q0, s in [(8, 7), (128, 3), (16, 5)]:
+        assert R.rho_criterion(q0, s).rho == 2
 
 
 def test_criterion_witnesses_pinned():
