@@ -5,6 +5,15 @@ only to process many field elements per call.  Element codes travel as int64
 arrays; digit matrices use exact small-integer arithmetic (float matmuls stay
 below the mantissa limit of their dtype, so they are exact too).
 
+The field kernels work on such float digit rows: products, Frobenius powers,
+the quadratic character (whose last product forms only digit 0 of the norm),
+the characteristic-2 inverse and the trace, fused with a Frobenius power so
+that Tr(1/y) is one matrix product after the inverse's addition chain.  The
+criterion scan keeps its elements as digit rows from the exp table to the
+verdict (the even-q0 candidates also as codes, for `mul_const`); the
+code-level `mul`, `frobenius`, `chi`, `inverse` and `trace` decode, call the
+same kernels and encode, for the oracle and the tests.
+
 `covering_layers`, a plain BFS over a whole additive group, is not on any
 production path: the tests use it as the element-level reference for the
 oracle, which works on norm classes instead (`radius`).  Nor are the tables
@@ -50,13 +59,15 @@ class BulkField:
         self._pk_float = self._pk.astype(np.float64)
         self._dtype = digit_dtype(F.p, F.k)
         self._frob = [np.eye(F.k, dtype=self._dtype)]  # Frobenius powers 0, 1, ...
-        self._trace = {}  # subfield degree -> digit matrix of the trace
+        self._traces = {}  # (subfield degree, e) -> digit matrix of y -> Tr(y^(p^e))
+        self._xor = {}  # characteristic 2: constant -> its mul_const tables
 
     # -- digit representation
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
-        if self.p == 2:
-            return np.asarray(codes, dtype=np.int64)[:, None] >> np.arange(self.k) & 1
+        if self.p == 2:  # the low k bits of each code, as uint8
+            octets = np.ascontiguousarray(codes, dtype="<i8").view(np.uint8).reshape(-1, 8)
+            return np.unpackbits(octets, axis=1, count=self.k, bitorder="little")
         out = np.empty((codes.shape[0], self.k), dtype=np.int64)
         c = codes.astype(np.int64, copy=True)
         for i in range(self.k):
@@ -127,17 +138,70 @@ class BulkField:
             return self._reduce(a @ shifted[0])
         return self._reduce((a[:, None, :] @ shifted)[:, 0, :])
 
-    def _chain(self, digits: np.ndarray, n: int) -> np.ndarray:
+    def _mul_digit0(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """digit 0 of a*b, as one column: sum_i a_i * digit 0 of X^i * b,
+        read off the columns of the shift matrix that hold digit 0."""
+        low = b @ self._shift_matrix[:, ::self.k]
+        return self._reduce(np.einsum("ij,ij->i", a, low)[:, None])
+
+    def _chain(self, digits: np.ndarray, n: int, last=None) -> np.ndarray:
         """digits of y^(1 + p + ... + p^(n-1)), n >= 1, by the Itoh-Tsujii
-        addition chain r_(2a) = r_a^(p^a) * r_a, r_(a+1) = r_a^p * y."""
-        r, a = digits, 1
+        addition chain r_(2a) = r_a^(p^a) * r_a, r_(a+1) = r_a^p * y.
+        last(a, b), if given, forms the chain's final product a*b in place
+        of _mul; for n = 1 there is no product and y is returned."""
+        steps, a = [], 1  # (e, b): r <- r^(p^e) * b, with b = None for r
         for bit in bin(n)[3:]:
-            r = self._mul(self._frobenius(r, a), r)
+            steps.append((a, None))
             a *= 2
             if bit == "1":
-                r = self._mul(self._frobenius(r, 1), digits)
+                steps.append((1, digits))
                 a += 1
+        r = digits
+        for i, (e, b) in enumerate(steps, 1):
+            mul = last if last is not None and i == len(steps) else self._mul
+            r = mul(self._frobenius(r, e), r if b is None else b)
         return r
+
+    @cached_property
+    def _legendre(self) -> np.ndarray:
+        t = np.full(self.p, -1, dtype=np.int8)
+        t[np.arange(1, self.p, dtype=np.int64) ** 2 % self.p] = 1
+        t[0] = 0
+        return t
+
+    def _chi(self, digits: np.ndarray) -> np.ndarray:
+        """Quadratic character in {-1, 0, +1} of digit rows (odd p).
+
+        y^((q-1)/2) = N(y)^((p-1)/2) with N(y) = y^(1 + p + ... + p^(k-1))
+        in F_p, so chi(y) is the Legendre symbol of the norm's constant digit,
+        the only digit the chain's last product forms.
+        """
+        if self.p == 2:
+            raise ValueError("quadratic character needs odd characteristic")
+        norm = self._chain(digits, self.k, self._mul_digit0)[:, 0]
+        return self._legendre[norm.astype(np.int64)]
+
+    def _inverse_root(self, digits: np.ndarray) -> np.ndarray:
+        """digits of z with z^2 = 1/y (0 for y = 0), in characteristic 2.
+
+        y^(q-2) = 1/y, and q - 2 = 2*(1 + 2 + ... + 2^(k-2)), so
+        z = chain(y, k-1); in F_2, z = y.
+        """
+        if self.p != 2:
+            raise ValueError("the inverse kernel needs characteristic 2")
+        return digits if self.k == 1 else self._chain(digits, self.k - 1)
+
+    def _trace(self, digits: np.ndarray, sub_degree: int, e: int = 0) -> np.ndarray:
+        """digits of Tr(y^(p^e)) to the subfield F_{p^sub_degree}: the trace
+        is the sum of the Frobenius powers p^(sub_degree*i), an F_p-linear
+        map, so with the Frobenius power it is one digit matrix."""
+        if self.k % sub_degree:
+            raise ValueError("subfield degree must divide k")
+        key = sub_degree, e
+        if key not in self._traces:
+            tr = sum(self._frobenius_matrix(i) for i in range(0, self.k, sub_degree))
+            self._traces[key] = self._reduce(self._frobenius_matrix(e) @ self._reduce(tr))
+        return self._reduce(digits @ self._traces[key])
 
     # -- elementwise kernels on arrays of codes
 
@@ -150,43 +214,17 @@ class BulkField:
         return self._codes(self._frobenius(self._digits(codes), e))
 
     def inverse(self, codes: np.ndarray) -> np.ndarray:
-        """y^(q-2) in characteristic 2: 1/y, and 0 for y = 0.
-
-        q - 2 = 2*(1 + 2 + ... + 2^(k-2)), so y^(q-2) = chain(y, k-1)^2.
-        """
-        if self.p != 2:
-            raise ValueError("the inverse kernel needs characteristic 2")
-        if self.k == 1:
-            return np.array(codes, dtype=np.int64)  # F_2: 1/1 = 1
-        return self._codes(self._frobenius(self._chain(self._digits(codes), self.k - 1), 1))
+        """1/y in characteristic 2, and 0 for y = 0: the square of
+        `_inverse_root`."""
+        return self._codes(self._frobenius(self._inverse_root(self._digits(codes)), 1))
 
     def trace(self, codes: np.ndarray, sub_degree: int) -> np.ndarray:
-        """Tr to the subfield F_{p^sub_degree}: the sum of the Frobenius
-        powers p^(sub_degree*i), an F_p-linear map."""
-        if self.k % sub_degree:
-            raise ValueError("subfield degree must divide k")
-        if sub_degree not in self._trace:
-            self._trace[sub_degree] = self._reduce(
-                sum(self._frobenius_matrix(e) for e in range(0, self.k, sub_degree)))
-        return self._codes(self._reduce(self._digits(codes) @ self._trace[sub_degree]))
-
-    @cached_property
-    def _legendre(self) -> np.ndarray:
-        t = np.full(self.p, -1, dtype=np.int8)
-        t[np.arange(1, self.p, dtype=np.int64) ** 2 % self.p] = 1
-        t[0] = 0
-        return t
+        """Tr to the subfield F_{p^sub_degree}, by `_trace`."""
+        return self._codes(self._trace(self._digits(codes), sub_degree))
 
     def chi(self, codes: np.ndarray) -> np.ndarray:
-        """Quadratic character in {-1, 0, +1} (odd p).
-
-        y^((q-1)/2) = N(y)^((p-1)/2) with N(y) = y^(1 + p + ... + p^(k-1))
-        in F_p, so chi(y) is the Legendre symbol of the norm's constant digit.
-        """
-        if self.p == 2:
-            raise ValueError("quadratic character needs odd characteristic")
-        norm = self._chain(self._digits(codes), self.k)[:, 0]
-        return self._legendre[norm.astype(np.int64)]
+        """Quadratic character in {-1, 0, +1} (odd p), by `_chi`."""
+        return self._chi(self._digits(codes))
 
     # -- elementwise field ops against a constant
 
@@ -207,37 +245,47 @@ class BulkField:
 
         In characteristic 2 the product is F_2-linear in the bits of the
         code: with the constants c*X^j (j < k), one 256-entry xor table per
-        byte of the code turns the product into ceil(k/8) gathers.  Else a
-        one-row mul.
+        byte of the code turns the product into ceil(k/8) gathers.  The
+        tables are built on the first call with c and kept.  Else a one-row
+        mul.
         """
-        if self.p == 2:
-            cx = [c]
-            for _ in range(self.k - 1):
-                cx.append(self.F.mul(cx[-1], 2))  # code 2 is X
-            idx = np.empty_like(codes)
-            res = None
-            for b in range(0, self.k, 8):
-                table = np.zeros(1 << len(cx[b:b + 8]), dtype=np.int64)
-                for i, v in enumerate(cx[b:b + 8]):
-                    table[1 << i:2 << i] = table[:1 << i] ^ v
-                np.right_shift(codes, b, out=idx)
-                idx &= 0xFF
-                if res is None:
-                    res = table[idx]
-                else:
-                    res ^= table[idx]
-            return res
-        return self.mul(codes, np.array([c]))
+        if self.p != 2:
+            return self.mul(codes, np.array([c]))
+        if c not in self._xor:
+            self._xor[c] = self._xor_tables(c)
+        return self._xor_mul(codes, self._xor[c])
+
+    def _xor_tables(self, c: int) -> list[np.ndarray]:
+        """The byte tables of y -> y * c (characteristic 2)."""
+        cx = [c]
+        for _ in range(self.k - 1):
+            cx.append(self.F.mul(cx[-1], 2))  # code 2 is X
+        tables = []
+        for b in range(0, self.k, 8):
+            table = np.zeros(1 << len(cx[b:b + 8]), dtype=np.int64)
+            for i, v in enumerate(cx[b:b + 8]):
+                table[1 << i:2 << i] = table[:1 << i] ^ v
+            tables.append(table)
+        return tables
+
+    @staticmethod
+    def _xor_mul(codes: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+        res = tables[0][codes & 0xFF]
+        for i in range(1, len(tables)):
+            res ^= tables[i][codes >> 8 * i & 0xFF]
+        return res
 
     # -- group enumeration and character tables
 
     def powers(self, base: int, n: int) -> np.ndarray:
         """Codes of base^j for 0 <= j < n, by doubling: powers [f, f + span)
-        are powers [0, span) times base^f.
+        are powers [0, span) times base^f, the square of the previous step's
+        constant.
 
-        In characteristic 2 a doubling step is one mul_const on codes.  For
-        odd p it runs on float digit rows, so no code is decoded: a step is
-        a product with the digit matrix of y -> y * base^f, in blocks of
+        In characteristic 2 a doubling step is one product by xor tables on
+        codes (built for the step, not kept: each constant serves one step).
+        For odd p it runs on float digit rows, so no code is decoded: a step
+        is a product with the digit matrix of y -> y * base^f, in blocks of
         _POWERS_BLOCK rows, each block encoded once.  Only the rows below
         the largest power of 2 under n are kept, since the last step reads
         no row it writes.  Raises ValueError on fields too large for exact
@@ -251,12 +299,13 @@ class BulkField:
             kept = 1 << ((n - 1).bit_length() - 1)
             digits = np.zeros((kept, self.k), dtype=self._exact_dtype())
             digits[0, 0] = 1
-        filled = 1
+        filled, c = 1, base
         while filled < n:
-            c = self.F.pow(base, filled)
+            if filled > 1:
+                c = self.F.mul(c, c)  # base^filled
             span = min(filled, n - filled)
             if self.p == 2:
-                out[filled:filled + span] = self.mul_const(out[:span], c)
+                out[filled:filled + span] = self._xor_mul(out[:span], self._xor_tables(c))
                 filled += span
                 continue
             shift = (self._digits(np.array([c])) @ self._shift_matrix).reshape(self.k, self.k)

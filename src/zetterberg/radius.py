@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -239,7 +240,14 @@ def _criterion_field(q0: int, s: int, caps: Caps) -> Field:
             f"q = {q0 ** s} exceeds criterion cap {caps.criterion_order_cap}")
     if digit_dtype(p, s * m) is None:
         raise SizeCapExceeded(f"q = {q0 ** s} is too large for exact float digit kernels")
-    return Field(p, s * m)
+    return _cached_field(p, s * m)
+
+
+@lru_cache(maxsize=64)
+def _cached_field(p: int, k: int) -> Field:
+    # fields are immutable, so every split q0^s of p^k shares one, with its
+    # modulus and generator found once
+    return Field(p, k)
 
 
 def _survivors(cur: np.ndarray, n_tests: int, passes, budget: _EvalBudget) -> np.ndarray:
@@ -269,34 +277,40 @@ def _survivors(cur: np.ndarray, n_tests: int, passes, budget: _EvalBudget) -> np
 
 
 def _pattern(bf: BulkField, q0: int, tests: np.ndarray):
-    """(keep, passes) for `_scan`: keep(x) filters the candidate codes x
-    beyond the orbit walk; passes(x, j, t0, t1) is the pass matrix of tests
-    [t0, t1) on the elements x = g^j, by per-element kernels.
+    """(keep, passes) for `_scan`, on the float digit rows x of elements
+    g^j.  keep(x) is (kept, c): x[kept] are the candidates left beyond the
+    orbit walk, and c holds them in the form passes reads.  passes(c, j,
+    t0, t1) is the pass matrix of tests [t0, t1) on them.
 
     Odd q0: x passes the square beta of F_q0 when x (x - beta) is a nonzero
-    square, that is when chi(x - beta) == chi(x) = (-1)^j.
+    square, that is when chi(x - beta) == chi(x) = (-1)^j.  x - beta is
+    x + (p - beta) digit by digit, reduced, and chi reads digit rows.
     Even q0 = 2^m: x needs Tr(x) = 0 (trace to F_q0), and passes b when
-    Tr(1/(1 + b x)) is 0 or 1 (1 + b x != 0: x is not in F_q0).
+    Tr(1/(1 + b x)) is 0 or 1, that is when its digits 1 ... k-1 are 0
+    (1 + b x != 0: x is not in F_q0).  The candidates are codes, for the
+    xor tables of mul_const, and Tr(1/y) is one product after the chain.
     """
     if q0 % 2:
-        digits = bf.decode(tests)
+        minus = bf.p - bf._digits(tests)
 
         def keep(x):
-            return np.ones(x.size, dtype=bool)
+            return slice(None), x
 
         def passes(x, j, t0, t1):
-            y = bf.encode(bf.decode(x)[:, None, :] - digits[None, t0:t1, :])
+            y = bf._reduce(x[:, None, :] + minus[None, t0:t1, :])
             signs = 1 - 2 * (j & 1)
-            return bf.chi(y.ravel()).reshape(y.shape) == signs[:, None]
+            return bf._chi(y.reshape(-1, bf.k)).reshape(y.shape[:2]) == signs[:, None]
         return keep, passes
     m = q0.bit_length() - 1
 
     def keep(x):
-        return bf.trace(x, m) == 0
+        kept = ~bf._trace(x, m).any(axis=1)
+        return kept, bf._codes(x[kept])
 
     def passes(x, j, t0, t1):
         y = np.concatenate([bf.mul_const(x, int(b)) for b in tests[t0:t1]]) ^ 1
-        return (bf.trace(bf.inverse(y), m) <= 1).reshape(t1 - t0, -1).T
+        tr = bf._trace(bf._inverse_root(bf._digits(y)), m, 1)
+        return ~tr[:, 1:].any(axis=1).reshape(t1 - t0, -1).T
     return keep, passes
 
 
@@ -338,7 +352,10 @@ def _scan(K: Field, q0: int, budget: _EvalBudget, count_all: bool = False):
     a short exp table.  The first block has (q-1) >> 9 residues (at least
     2^8), so a witness found early costs little; each next block doubles,
     up to _BLOCK, where counting starts.  `_pattern`'s keep filters each
-    block and `_survivors` runs the tests on what is left.
+    block and `_survivors` runs the tests on what is left.  The elements
+    stay float digit rows: a block decodes its residues' exp entries and
+    takes one product with the digit matrix of g^j0, g^j0 moves on by one
+    product per block, and only the first witness is encoded.
 
     Even q0 with q = q0^2 has no candidate, so the scan returns at once:
     Tr(x) = x + x^q0 vanishes exactly when x^q0 = x, that is on F_q0, which
@@ -353,23 +370,27 @@ def _scan(K: Field, q0: int, budget: _EvalBudget, count_all: bool = False):
     keep, passes = _pattern(bf, q0, tests)
     size = _BLOCK if count_all else min(_BLOCK, max(1 << 8, n1 >> 9))
     first, count, exp, j0 = None, 0, np.empty(0, dtype=np.int64), 0
+    g, gj0 = bf._digits(np.array([K.generator, 1])).reshape(2, 1, K.k)
     while j0 < d:
         n = min(size, d - j0)
         if exp.size < n:
             exp = bf.build_exp(n)
+            step = bf._mul(bf._digits(exp[-1:]), g)  # g^n: blocks of this size start n apart
         j = _orbit_representatives(np.arange(max(j0, 1), j0 + n), d, K.p, K.k)
-        x = exp[j] if j0 == 0 else bf.mul_const(exp[j - j0], K.pow(K.generator, j0))
-        kept = keep(x)
+        x = bf._digits(exp[j - j0])
+        if j0:
+            x = bf._mul(x, gj0)
+        kept, c = keep(x)
         j, x = j[kept], x[kept]
         cur = _survivors(np.arange(j.size), tests.size,
-                         lambda i, t0, t1: passes(x[i], j[i], t0, t1), budget)
+                         lambda i, t0, t1: passes(c[i], j[i], t0, t1), budget)
         if cur.size:
             if first is None:
-                first = int(x[cur[0]])
+                first = int(bf._codes(x[cur[:1]])[0])
             count += n1 // d * int(_orbit_sizes(j[cur], d, K.p).sum())
             if not count_all:
                 return first, count
-        j0, size = j0 + n, min(2 * size, _BLOCK)
+        j0, gj0, size = j0 + n, bf._mul(gj0, step), min(2 * size, _BLOCK)
     return first, count
 
 

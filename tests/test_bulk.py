@@ -227,3 +227,78 @@ def test_covering_layers_fuzz_against_scalar_bfs():
             picks = {rng.randrange(1, F.order) for _ in range(rng.randrange(1, 4))}
             steps = sorted(picks | {F.neg(c) for c in picks})
             _check_against_scalar_bfs(F, steps)
+
+
+def _euler_chi(F, y):
+    # scalar reference: Euler's criterion on the norm down to F_p
+    euler = pow(F.norm_to(y, 1), (F.p - 1) // 2, F.p)
+    return euler if euler < 2 else -1
+
+
+@pytest.mark.parametrize("p,k,sample", [(3, 4, None), (5, 3, None), (29, 2, None),
+                                        (5, 9, 400), (7, 7, 400)])
+def test_digit_row_chi_matches_euler_on_the_norm(p, k, sample):
+    # every element of the small fields, random digit rows of the large ones
+    F = Field(p, k)
+    bf = BulkField(F)
+    if sample is None:
+        rows = bf._digits(np.arange(F.order, dtype=np.int64))
+    else:
+        rng = np.random.default_rng(p * k)
+        rows = rng.integers(0, p, (sample, k)).astype(bf._dtype)
+        rows[:2] = 0
+        rows[1, 0] = 1  # 0 and 1 among them
+    chi = bf._chi(rows)
+    codes = bf._codes(rows)
+    assert [int(v) for v in chi] == [_euler_chi(F, int(y)) for y in codes]
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 9), (7, 7), (29, 2), (101, 3), (2, 21)])
+def test_digit0_product_is_column_0_of_the_product(p, k):
+    F = Field(p, k)
+    bf = BulkField(F)
+    rng = np.random.default_rng(p + k)
+    a, b = (rng.integers(0, p, (300, k)).astype(bf._dtype) for _ in range(2))
+    low = bf._mul_digit0(a, b)
+    assert low.shape == (300, 1)
+    assert (low[:, 0] == bf._mul(a, b)[:, 0]).all()
+
+
+@pytest.mark.parametrize("k,sample", [(8, None), (11, 500), (21, 500)])
+def test_fused_char2_trace_of_the_inverse(k, sample):
+    # Tr(1/y) to every subfield as one product after the inverse's chain,
+    # against the scalar inverse and trace
+    F = Field(2, k)
+    bf = BulkField(F)
+    if sample is None:
+        ys = list(range(1, F.order))
+    else:
+        rng = random.Random(k)
+        ys = [1, F.order - 1] + [rng.randrange(1, F.order) for _ in range(sample)]
+    root = bf._inverse_root(bf._digits(np.array([0] + ys, dtype=np.int64)))
+    for m in range(1, k + 1):
+        if k % m:
+            continue
+        tr = bf._codes(bf._trace(root, m, 1))
+        assert int(tr[0]) == 0  # y = 0 maps to 0
+        assert tr[1:].tolist() == [F.trace_to(F.inv(y), m) for y in ys]
+
+
+def test_char2_mul_const_tables_are_built_once_per_constant(monkeypatch):
+    F = Field(2, 12)
+    bf = BulkField(F)
+    built = []
+    xor_tables = BulkField._xor_tables
+
+    def counting(self, c):
+        built.append(c)
+        return xor_tables(self, c)
+
+    monkeypatch.setattr(BulkField, "_xor_tables", counting)
+    codes = np.arange(F.order, dtype=np.int64)
+    for c in (F.generator, 5, F.generator, 5, F.generator):
+        assert bf.mul_const(codes, c).tolist() == [F.mul(int(a), c) for a in codes]
+    assert built == [F.generator, 5]
+    # the doubling constants of `powers` serve one step each and are not kept
+    bf.build_exp(1000)
+    assert set(bf._xor) == {F.generator, 5}

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetterberg import _bulk, thresholds
+from zetterberg import _bulk, gf, thresholds
 from zetterberg import radius as R
 from zetterberg._bulk import BulkField, covering_layers
 from zetterberg.caps import Caps
@@ -273,6 +273,59 @@ def test_digit_kernel_limit_is_a_cap(monkeypatch):
     lifted = Caps(criterion_order_cap=2**60)
     with pytest.raises(SizeCapExceeded, match="exact float digit kernels"):
         R.rho_criterion(200003, 2, caps=lifted)
+
+
+def test_criterion_field_is_built_once_per_field(monkeypatch):
+    # (4,11) and (2,22) scan the same F_{2^22}: the second criterion call
+    # finds no new modulus, and the shared field gives the reports that
+    # fields built afresh give
+    searches = []
+    search = gf.find_irreducible
+
+    def counting(p, n, skip=0):
+        searches.append((p, n))
+        return search(p, n, skip)
+
+    monkeypatch.setattr(gf, "find_irreducible", counting)
+    R._cached_field.cache_clear()
+    shared = [R.rho_criterion(q0, s).to_json(timing=False) for q0, s in [(4, 11), (2, 22)]]
+    assert searches == [(2, 22)]
+    fresh = []
+    for q0, s in [(4, 11), (2, 22)]:
+        R._cached_field.cache_clear()
+        fresh.append(R.rho_criterion(q0, s).to_json(timing=False))
+    assert shared == fresh
+    assert shared[0]["witness_field"] == shared[1]["witness_field"]
+
+
+def test_odd_scan_tests_decode_no_code(monkeypatch):
+    # the tests run on digit rows: decode runs for the exp builds and the
+    # blocks of an odd-q0 count scan, never inside a test call
+    decode = BulkField.decode
+    survivors = R._survivors
+    calls = {"decode": 0, "in_tests": 0, "tests": 0}
+    inside = []
+
+    def counting_decode(self, codes):
+        calls["decode"] += 1
+        calls["in_tests"] += bool(inside)
+        return decode(self, codes)
+
+    def watched(cur, n_tests, passes, budget):
+        def run(i, t0, t1):
+            calls["tests"] += 1
+            inside.append(True)
+            try:
+                return passes(i, t0, t1)
+            finally:
+                inside.pop()
+        return survivors(cur, n_tests, run, budget)
+
+    monkeypatch.setattr(BulkField, "decode", counting_decode)
+    monkeypatch.setattr(R, "_survivors", watched)
+    assert R.witness_count_odd(5, 7) == 19530
+    assert calls["tests"] > 0 and calls["decode"] > 0
+    assert calls["in_tests"] == 0
 
 
 def test_shortcut_rules():
