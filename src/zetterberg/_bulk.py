@@ -10,9 +10,9 @@ the quadratic character (whose last product forms only digit 0 of the norm),
 the characteristic-2 inverse and the trace, fused with a Frobenius power so
 that Tr(1/y) is one matrix product after the inverse's addition chain.  The
 criterion scan keeps its elements as digit rows from the exp table to the
-verdict (the even-q0 candidates also as codes, for `mul_const`); the
-code-level `mul`, `frobenius`, `chi`, `inverse` and `trace` decode, call the
-same kernels and encode, for the oracle and the tests.
+verdict (the even-q0 candidates also as codes, for the xor tables of
+`_xor_mul`).  The code-level `mul` and `frobenius`, which the oracle calls,
+decode, call the same kernels and encode.
 
 `covering_layers`, a plain BFS over a whole additive group, is not on any
 production path: the tests use it as the element-level reference for the
@@ -60,7 +60,6 @@ class BulkField:
         self._dtype = digit_dtype(F.p, F.k)
         self._frob = [np.eye(F.k, dtype=self._dtype)]  # Frobenius powers 0, 1, ...
         self._traces = {}  # (subfield degree, e) -> digit matrix of y -> Tr(y^(p^e))
-        self._xor = {}  # characteristic 2: constant -> its mul_const tables
 
     # -- digit representation
 
@@ -213,19 +212,6 @@ class BulkField:
         """y^(p^e) elementwise."""
         return self._codes(self._frobenius(self._digits(codes), e))
 
-    def inverse(self, codes: np.ndarray) -> np.ndarray:
-        """1/y in characteristic 2, and 0 for y = 0: the square of
-        `_inverse_root`."""
-        return self._codes(self._frobenius(self._inverse_root(self._digits(codes)), 1))
-
-    def trace(self, codes: np.ndarray, sub_degree: int) -> np.ndarray:
-        """Tr to the subfield F_{p^sub_degree}, by `_trace`."""
-        return self._codes(self._trace(self._digits(codes), sub_degree))
-
-    def chi(self, codes: np.ndarray) -> np.ndarray:
-        """Quadratic character in {-1, 0, +1} (odd p), by `_chi`."""
-        return self._chi(self._digits(codes))
-
     # -- elementwise field ops against a constant
 
     def add_const(self, codes: np.ndarray, c: int) -> np.ndarray:
@@ -246,14 +232,13 @@ class BulkField:
         In characteristic 2 the product is F_2-linear in the bits of the
         code: with the constants c*X^j (j < k), one 256-entry xor table per
         byte of the code turns the product into ceil(k/8) gathers.  The
-        tables are built on the first call with c and kept.  Else a one-row
-        mul.
+        tables are built per call; a caller that multiplies by one constant
+        many times keeps `_xor_tables(c)` and calls `_xor_mul`.  Else a
+        one-row mul.
         """
         if self.p != 2:
             return self.mul(codes, np.array([c]))
-        if c not in self._xor:
-            self._xor[c] = self._xor_tables(c)
-        return self._xor_mul(codes, self._xor[c])
+        return self._xor_mul(codes, self._xor_tables(c))
 
     def _xor_tables(self, c: int) -> list[np.ndarray]:
         """The byte tables of y -> y * c (characteristic 2)."""
@@ -283,7 +268,7 @@ class BulkField:
         constant.
 
         In characteristic 2 a doubling step is one product by xor tables on
-        codes (built for the step, not kept: each constant serves one step).
+        codes, with tables built for the step.
         For odd p it runs on float digit rows, so no code is decoded: a step
         is a product with the digit matrix of y -> y * base^f, in blocks of
         _POWERS_BLOCK rows, each block encoded once.  Only the rows below

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -240,14 +239,7 @@ def _criterion_field(q0: int, s: int, caps: Caps) -> Field:
             f"q = {q0 ** s} exceeds criterion cap {caps.criterion_order_cap}")
     if digit_dtype(p, s * m) is None:
         raise SizeCapExceeded(f"q = {q0 ** s} is too large for exact float digit kernels")
-    return _cached_field(p, s * m)
-
-
-@lru_cache(maxsize=64)
-def _cached_field(p: int, k: int) -> Field:
-    # fields are immutable, so every split q0^s of p^k shares one, with its
-    # modulus and generator found once
-    return Field(p, k)
+    return Field(p, s * m)
 
 
 def _survivors(cur: np.ndarray, n_tests: int, passes, budget: _EvalBudget) -> np.ndarray:
@@ -288,7 +280,10 @@ def _pattern(bf: BulkField, q0: int, tests: np.ndarray):
     Even q0 = 2^m: x needs Tr(x) = 0 (trace to F_q0), and passes b when
     Tr(1/(1 + b x)) is 0 or 1, that is when its digits 1 ... k-1 are 0
     (1 + b x != 0: x is not in F_q0).  The candidates are codes, for the
-    xor tables of mul_const, and Tr(1/y) is one product after the chain.
+    byte xor tables of y -> b y, and Tr(1/y) is one product after the
+    chain.  A test's tables are built on its first call and dropped when
+    the scan returns: at most ceil(k/8) tables of 2 KB for each of the
+    q0 - 1 tests (34 MB at (4096,3)).
     """
     if q0 % 2:
         minus = bf.p - bf._digits(tests)
@@ -302,13 +297,19 @@ def _pattern(bf: BulkField, q0: int, tests: np.ndarray):
             return bf._chi(y.reshape(-1, bf.k)).reshape(y.shape[:2]) == signs[:, None]
         return keep, passes
     m = q0.bit_length() - 1
+    tables = [None] * tests.size
 
     def keep(x):
         kept = ~bf._trace(x, m).any(axis=1)
         return kept, bf._codes(x[kept])
 
+    def times(x, t):
+        if tables[t] is None:
+            tables[t] = bf._xor_tables(int(tests[t]))
+        return bf._xor_mul(x, tables[t])
+
     def passes(x, j, t0, t1):
-        y = np.concatenate([bf.mul_const(x, int(b)) for b in tests[t0:t1]]) ^ 1
+        y = np.concatenate([times(x, t) for t in range(t0, t1)]) ^ 1
         tr = bf._trace(bf._inverse_root(bf._digits(y)), m, 1)
         return ~tr[:, 1:].any(axis=1).reshape(t1 - t0, -1).T
     return keep, passes

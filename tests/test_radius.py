@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetterberg import _bulk, gf, thresholds
+from zetterberg import _bulk, thresholds
 from zetterberg import radius as R
 from zetterberg._bulk import BulkField, covering_layers
 from zetterberg.caps import Caps
@@ -275,29 +275,6 @@ def test_digit_kernel_limit_is_a_cap(monkeypatch):
         R.rho_criterion(200003, 2, caps=lifted)
 
 
-def test_criterion_field_is_built_once_per_field(monkeypatch):
-    # (4,11) and (2,22) scan the same F_{2^22}: the second criterion call
-    # finds no new modulus, and the shared field gives the reports that
-    # fields built afresh give
-    searches = []
-    search = gf.find_irreducible
-
-    def counting(p, n, skip=0):
-        searches.append((p, n))
-        return search(p, n, skip)
-
-    monkeypatch.setattr(gf, "find_irreducible", counting)
-    R._cached_field.cache_clear()
-    shared = [R.rho_criterion(q0, s).to_json(timing=False) for q0, s in [(4, 11), (2, 22)]]
-    assert searches == [(2, 22)]
-    fresh = []
-    for q0, s in [(4, 11), (2, 22)]:
-        R._cached_field.cache_clear()
-        fresh.append(R.rho_criterion(q0, s).to_json(timing=False))
-    assert shared == fresh
-    assert shared[0]["witness_field"] == shared[1]["witness_field"]
-
-
 def test_odd_scan_tests_decode_no_code(monkeypatch):
     # the tests run on digit rows: decode runs for the exp builds and the
     # blocks of an odd-q0 count scan, never inside a test call
@@ -326,6 +303,36 @@ def test_odd_scan_tests_decode_no_code(monkeypatch):
     assert R.witness_count_odd(5, 7) == 19530
     assert calls["tests"] > 0 and calls["decode"] > 0
     assert calls["in_tests"] == 0
+
+
+def test_even_scan_builds_each_tests_tables_once(monkeypatch):
+    # (16,5) has rho = 2, so the scan runs all 15 tests on every block; the
+    # test calls build each test's xor tables once per scan, and a second
+    # scan builds its own
+    K = R._criterion_field(16, 5, Caps())
+    tests = BulkField(K).powers(K.pow(K.generator, (K.order - 1) // 15), 15).tolist()
+    xor_tables = BulkField._xor_tables
+    survivors = R._survivors
+    built, inside = [], []
+
+    def counting(self, c):
+        if inside:
+            built.append(c)
+        return xor_tables(self, c)
+
+    def watched(*args):
+        inside.append(True)
+        try:
+            return survivors(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(BulkField, "_xor_tables", counting)
+    monkeypatch.setattr(R, "_survivors", watched)
+    for scans in (1, 2):
+        budget = R._EvalBudget(Caps().scan_cap)
+        assert R._scan(K, 16, budget) == (None, 0)
+        assert sorted(built) == sorted(tests * scans)
 
 
 def test_shortcut_rules():
