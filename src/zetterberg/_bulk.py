@@ -5,13 +5,13 @@ only to process many field elements per call.  Element codes travel as int64
 arrays; digit matrices use exact small-integer arithmetic (float matmuls stay
 below the mantissa limit of their dtype, so they are exact too).
 
-The field kernels work on such float digit rows: products, Frobenius powers,
+The field kernels work on such float digit rows, with one arithmetic for
+every characteristic: products, Frobenius powers, the powers of an element,
 the quadratic character (whose last product forms only digit 0 of the norm),
 the characteristic-2 inverse and the trace, fused with a Frobenius power so
 that Tr(1/y) is one matrix product after the inverse's addition chain.  The
 criterion scan keeps its elements as digit rows from the exp table to the
-verdict (the even-q0 candidates also as codes, for the xor tables of
-`_xor_mul`).  The code-level `mul` and `frobenius`, which the oracle calls,
+verdict.  The code-level `mul` and `frobenius`, which the oracle calls,
 decode, call the same kernels and encode.
 
 `covering_layers`, a plain BFS over a whole additive group, is not on any
@@ -212,7 +212,7 @@ class BulkField:
         """y^(p^e) elementwise."""
         return self._codes(self._frobenius(self._digits(codes), e))
 
-    # -- elementwise field ops against a constant
+    # -- elementwise sums with a constant
 
     def add_const(self, codes: np.ndarray, c: int) -> np.ndarray:
         if self.p == 2:
@@ -226,40 +226,6 @@ class BulkField:
             return codes ^ c
         return self.add_const(codes, self.F.neg(c))
 
-    def mul_const(self, codes: np.ndarray, c: int) -> np.ndarray:
-        """codes * c.
-
-        In characteristic 2 the product is F_2-linear in the bits of the
-        code: with the constants c*X^j (j < k), one 256-entry xor table per
-        byte of the code turns the product into ceil(k/8) gathers.  The
-        tables are built per call; a caller that multiplies by one constant
-        many times keeps `_xor_tables(c)` and calls `_xor_mul`.  Else a
-        one-row mul.
-        """
-        if self.p != 2:
-            return self.mul(codes, np.array([c]))
-        return self._xor_mul(codes, self._xor_tables(c))
-
-    def _xor_tables(self, c: int) -> list[np.ndarray]:
-        """The byte tables of y -> y * c (characteristic 2)."""
-        cx = [c]
-        for _ in range(self.k - 1):
-            cx.append(self.F.mul(cx[-1], 2))  # code 2 is X
-        tables = []
-        for b in range(0, self.k, 8):
-            table = np.zeros(1 << len(cx[b:b + 8]), dtype=np.int64)
-            for i, v in enumerate(cx[b:b + 8]):
-                table[1 << i:2 << i] = table[:1 << i] ^ v
-            tables.append(table)
-        return tables
-
-    @staticmethod
-    def _xor_mul(codes: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
-        res = tables[0][codes & 0xFF]
-        for i in range(1, len(tables)):
-            res ^= tables[i][codes >> 8 * i & 0xFF]
-        return res
-
     # -- group enumeration and character tables
 
     def powers(self, base: int, n: int) -> np.ndarray:
@@ -267,32 +233,25 @@ class BulkField:
         are powers [0, span) times base^f, the square of the previous step's
         constant.
 
-        In characteristic 2 a doubling step is one product by xor tables on
-        codes, with tables built for the step.
-        For odd p it runs on float digit rows, so no code is decoded: a step
-        is a product with the digit matrix of y -> y * base^f, in blocks of
+        It runs on float digit rows, so no code is decoded: a step is a
+        product with the digit matrix of y -> y * base^f, in blocks of
         _POWERS_BLOCK rows, each block encoded once.  Only the rows below
         the largest power of 2 under n are kept, since the last step reads
         no row it writes.  Raises ValueError on fields too large for exact
-        float digits (n >= 2).
+        float digits (n >= 2), in every characteristic.
         """
         out = np.empty(n, dtype=np.int64)
         out[:1] = 1
         if n < 2:
             return out
-        if self.p != 2:
-            kept = 1 << ((n - 1).bit_length() - 1)
-            digits = np.zeros((kept, self.k), dtype=self._exact_dtype())
-            digits[0, 0] = 1
+        kept = 1 << ((n - 1).bit_length() - 1)
+        digits = np.zeros((kept, self.k), dtype=self._exact_dtype())
+        digits[0, 0] = 1
         filled, c = 1, base
         while filled < n:
             if filled > 1:
                 c = self.F.mul(c, c)  # base^filled
             span = min(filled, n - filled)
-            if self.p == 2:
-                out[filled:filled + span] = self._xor_mul(out[:span], self._xor_tables(c))
-                filled += span
-                continue
             shift = (self._digits(np.array([c])) @ self._shift_matrix).reshape(self.k, self.k)
             for i in range(0, span, _POWERS_BLOCK):
                 e = min(i + _POWERS_BLOCK, span)

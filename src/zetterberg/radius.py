@@ -176,6 +176,11 @@ def _first_at_depth(nc: _NormClasses, layer: np.ndarray, depth: int) -> int:
     raise ArithmeticError(f"no class at depth {depth}")
 
 
+def _check_digit_kernels(p: int, k: int, name: str):
+    if digit_dtype(p, k) is None:
+        raise SizeCapExceeded(f"{name} = {p ** k} is too large for exact float digit kernels")
+
+
 def _check_oracle_cap(q0: int, s: int, caps: Caps):
     if q0 ** (2 * s) > caps.oracle_cap:
         raise SizeCapExceeded(
@@ -188,6 +193,7 @@ def covering_radius_oracle(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> Radius
     t0 = time.perf_counter()
     p, m = prime_power_split(q0)
     _check_oracle_cap(q0, s, caps)
+    _check_digit_kernels(p, 2 * s * m, "q^2")
     ctx = make_field_for_q0(q0, s, caps=caps)
     nc = _NormClasses(ctx)
     layer = _class_layers(nc)
@@ -237,8 +243,7 @@ def _criterion_field(q0: int, s: int, caps: Caps) -> Field:
     if q0**s > caps.criterion_order_cap:
         raise SizeCapExceeded(
             f"q = {q0 ** s} exceeds criterion cap {caps.criterion_order_cap}")
-    if digit_dtype(p, s * m) is None:
-        raise SizeCapExceeded(f"q = {q0 ** s} is too large for exact float digit kernels")
+    _check_digit_kernels(p, s * m, "q")
     return Field(p, s * m)
 
 
@@ -270,26 +275,25 @@ def _survivors(cur: np.ndarray, n_tests: int, passes, budget: _EvalBudget) -> np
 
 def _pattern(bf: BulkField, q0: int, tests: np.ndarray):
     """(keep, passes) for `_scan`, on the float digit rows x of elements
-    g^j.  keep(x) is (kept, c): x[kept] are the candidates left beyond the
-    orbit walk, and c holds them in the form passes reads.  passes(c, j,
-    t0, t1) is the pass matrix of tests [t0, t1) on them.
+    g^j.  keep(x) selects the rows left as candidates beyond the orbit
+    walk; passes(x, j, t0, t1) is the pass matrix of tests [t0, t1) on
+    candidate rows.
 
     Odd q0: x passes the square beta of F_q0 when x (x - beta) is a nonzero
     square, that is when chi(x - beta) == chi(x) = (-1)^j.  x - beta is
     x + (p - beta) digit by digit, reduced, and chi reads digit rows.
     Even q0 = 2^m: x needs Tr(x) = 0 (trace to F_q0), and passes b when
     Tr(1/(1 + b x)) is 0 or 1, that is when its digits 1 ... k-1 are 0
-    (1 + b x != 0: x is not in F_q0).  The candidates are codes, for the
-    byte xor tables of y -> b y, and Tr(1/y) is one product after the
-    chain.  A test's tables are built on its first call and dropped when
-    the scan returns: at most ceil(k/8) tables of 2 KB for each of the
-    q0 - 1 tests (34 MB at (4096,3)).
+    (1 + b x != 0: x is not in F_q0).  Every b x is one product of the
+    candidates with the tests' k x k multiplication matrices, built once
+    per scan ((q0 - 1) k^2 floats), 1 + b x flips digit 0, and Tr(1/y) is
+    one product after the chain.
     """
     if q0 % 2:
         minus = bf.p - bf._digits(tests)
 
         def keep(x):
-            return slice(None), x
+            return slice(None)
 
         def passes(x, j, t0, t1):
             y = bf._reduce(x[:, None, :] + minus[None, t0:t1, :])
@@ -297,20 +301,15 @@ def _pattern(bf: BulkField, q0: int, tests: np.ndarray):
             return bf._chi(y.reshape(-1, bf.k)).reshape(y.shape[:2]) == signs[:, None]
         return keep, passes
     m = q0.bit_length() - 1
-    tables = [None] * tests.size
+    times = (bf._digits(tests) @ bf._shift_matrix).reshape(-1, bf.k, bf.k)
 
     def keep(x):
-        kept = ~bf._trace(x, m).any(axis=1)
-        return kept, bf._codes(x[kept])
-
-    def times(x, t):
-        if tables[t] is None:
-            tables[t] = bf._xor_tables(int(tests[t]))
-        return bf._xor_mul(x, tables[t])
+        return ~bf._trace(x, m).any(axis=1)
 
     def passes(x, j, t0, t1):
-        y = np.concatenate([times(x, t) for t in range(t0, t1)]) ^ 1
-        tr = bf._trace(bf._inverse_root(bf._digits(y)), m, 1)
+        y = bf._reduce(x @ times[t0:t1])  # as in _mul, test by test
+        y[:, :, 0] = 1 - y[:, :, 0]
+        tr = bf._trace(bf._inverse_root(y.reshape(-1, bf.k)), m, 1)
         return ~tr[:, 1:].any(axis=1).reshape(t1 - t0, -1).T
     return keep, passes
 
@@ -381,10 +380,10 @@ def _scan(K: Field, q0: int, budget: _EvalBudget, count_all: bool = False):
         x = bf._digits(exp[j - j0])
         if j0:
             x = bf._mul(x, gj0)
-        kept, c = keep(x)
+        kept = keep(x)
         j, x = j[kept], x[kept]
         cur = _survivors(np.arange(j.size), tests.size,
-                         lambda i, t0, t1: passes(c[i], j[i], t0, t1), budget)
+                         lambda i, t0, t1: passes(x[i], j[i], t0, t1), budget)
         if cur.size:
             if first is None:
                 first = int(bf._codes(x[cur[:1]])[0])

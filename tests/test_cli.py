@@ -190,12 +190,17 @@ def test_bad_config_is_usage_error(tmp_path, monkeypatch):
 
 
 def test_digit_kernel_limit_exits_as_cap(tmp_path, monkeypatch, capsys):
-    # a lifted criterion_order_cap reaches the digit kernels' size limit,
-    # which is a cap (exit 3), not an internal error
+    # a lifted criterion_order_cap or oracle_cap reaches the digit kernels'
+    # size limit, which is a cap (exit 3), not an internal error
     cfg = tmp_path / "caps.conf"
     cfg.write_text(f"criterion_order_cap={2**60}\n")
     monkeypatch.setenv(ENV_CONFIG, str(cfg))
     args = ["radius", "--q0", "200003", "--s", "2", "--method", "criterion"]
+    assert cli.main(args) == 3
+    assert "exact float digit kernels" in capsys.readouterr().err
+    # likewise the oracle's ambient field, with its caps lifted
+    cfg.write_text(f"oracle_cap={2**40}\nmax_ambient_order={2**40}\n")
+    args = ["radius", "--q0", "200003", "--s", "1", "--method", "oracle"]
     assert cli.main(args) == 3
     assert "exact float digit kernels" in capsys.readouterr().err
 

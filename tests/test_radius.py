@@ -265,19 +265,26 @@ def test_scan_cap_enforced():
 
 def test_digit_kernel_limit_is_a_cap(monkeypatch):
     # with criterion_order_cap lifted, a field beyond exact float digits is
-    # refused like any cap, before the field is even built
-    def refuse(*args):
+    # refused like any cap, before the field (or context) is even built
+    def refuse(*args, **kwargs):
         raise AssertionError("field built")
 
     monkeypatch.setattr(R, "Field", refuse)
+    monkeypatch.setattr(R, "make_field_for_q0", refuse)
     lifted = Caps(criterion_order_cap=2**60)
     with pytest.raises(SizeCapExceeded, match="exact float digit kernels"):
         R.rho_criterion(200003, 2, caps=lifted)
+    # likewise the oracle's ambient field, with its caps lifted
+    lifted = Caps(oracle_cap=2**40, max_ambient_order=2**40)
+    with pytest.raises(SizeCapExceeded, match="exact float digit kernels"):
+        R.covering_radius_oracle(200003, 1, caps=lifted)
 
 
-def test_odd_scan_tests_decode_no_code(monkeypatch):
-    # the tests run on digit rows: decode runs for the exp builds and the
-    # blocks of an odd-q0 count scan, never inside a test call
+def test_scan_tests_decode_no_code(monkeypatch):
+    # the tests run on digit rows in both parities: decode runs for the exp
+    # builds and the blocks of a scan, never inside a test call.  (5,7) is
+    # an odd-q0 count scan; (16,5) has rho = 2, so its scan runs all 15
+    # tests on every block
     decode = BulkField.decode
     survivors = R._survivors
     calls = {"decode": 0, "in_tests": 0, "tests": 0}
@@ -303,36 +310,11 @@ def test_odd_scan_tests_decode_no_code(monkeypatch):
     assert R.witness_count_odd(5, 7) == 19530
     assert calls["tests"] > 0 and calls["decode"] > 0
     assert calls["in_tests"] == 0
-
-
-def test_even_scan_builds_each_tests_tables_once(monkeypatch):
-    # (16,5) has rho = 2, so the scan runs all 15 tests on every block; the
-    # test calls build each test's xor tables once per scan, and a second
-    # scan builds its own
+    calls.update(decode=0, tests=0)
     K = R._criterion_field(16, 5, Caps())
-    tests = BulkField(K).powers(K.pow(K.generator, (K.order - 1) // 15), 15).tolist()
-    xor_tables = BulkField._xor_tables
-    survivors = R._survivors
-    built, inside = [], []
-
-    def counting(self, c):
-        if inside:
-            built.append(c)
-        return xor_tables(self, c)
-
-    def watched(*args):
-        inside.append(True)
-        try:
-            return survivors(*args)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(BulkField, "_xor_tables", counting)
-    monkeypatch.setattr(R, "_survivors", watched)
-    for scans in (1, 2):
-        budget = R._EvalBudget(Caps().scan_cap)
-        assert R._scan(K, 16, budget) == (None, 0)
-        assert sorted(built) == sorted(tests * scans)
+    assert R._scan(K, 16, R._EvalBudget(Caps().scan_cap)) == (None, 0)
+    assert calls["tests"] > 0 and calls["decode"] > 0
+    assert calls["in_tests"] == 0
 
 
 def test_shortcut_rules():
