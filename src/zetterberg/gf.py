@@ -15,6 +15,14 @@ and one square-and-multiply loop, _binary_pow.  Field.pow runs that loop on
 codes for p = 2 and, through _poly_powmod, on one decoded coefficient tuple
 for odd p, so an odd-p power decodes and encodes once.
 
+Three routines divide polynomials instead, through one long division,
+_poly_divmod: Ben-Or's gcd, the extended Euclidean algorithm of Field.inv
+(both parities) and the resultant _poly_res, which gives the norm
+N(z) = Res(f, z) of an element to F_p in O(k^2) operations.  Since
+z^((p^k - 1)/(p - 1)) = N(z), every power of z whose exponent is a multiple
+of (p^k - 1)/(p - 1) is a power of an integer mod p: the generator scan
+tests the primes of p - 1 that way, and Field.sqrt runs Euler's test on N(a).
+
 A FieldContext is the ambient field: a Field subclass that adds the tower
 data (q0, q, the subgroup exponents and xi), so every Field method applies
 to it directly.
@@ -163,23 +171,75 @@ def _poly_powmod(a, e, f, p):
     return _binary_pow(a, e, lambda x, y: _poly_mulmod(x, y, f, p))
 
 
+def _poly_divmod(r, b, p):
+    """Reduce the list r to r mod b in place and return the quotient.
+
+    b is trimmed and nonzero, and r's coefficients lie in [0, p); r ends
+    trimmed."""
+    n = len(b) - 1
+    inv_lead = pow(b[-1], p - 2, p)
+    quot = [0] * max(len(r) - n, 0)
+    while len(r) > n:
+        c = r.pop() * inv_lead % p  # the top coefficient, which c * b cancels
+        if c:
+            off = len(r) - n
+            quot[off] = c
+            for j in range(n):
+                r[off + j] = (r[off + j] - c * b[j]) % p
+    while r and r[-1] == 0:
+        r.pop()
+    return quot
+
+
 def _poly_gcd(a, b, p):
+    # monic gcd; b trimmed
     a, b = list(a), list(b)
     while b:
-        # a mod b
-        inv_lead = pow(b[-1], p - 2, p)
-        while len(a) >= len(b) and a:
-            c = a[-1] * inv_lead % p
-            off = len(a) - len(b)
-            for j in range(len(b)):
-                a[off + j] = (a[off + j] - c * b[j]) % p
-            while a and a[-1] == 0:
-                a.pop()
+        _poly_divmod(a, b, p)
         a, b = b, a
     if a:  # normalize monic
         inv_lead = pow(a[-1], p - 2, p)
         a = [c * inv_lead % p for c in a]
-    return _poly_trim(a)
+    return tuple(a)
+
+
+def _poly_res(f, a, p):
+    """Res(f, a) over F_p for a monic f: the product of a over the roots of
+    f.  For an irreducible f it is the norm of a(X) mod f down to F_p.
+
+    Euclid's algorithm on Res(A, B) = (-1)^(deg A deg B) lc(B)^(deg A - deg R)
+    Res(B, R) with R = A mod B, ending at Res(A, c) = c^(deg A)."""
+    acc = 1
+    u, v = list(f), list(_poly_trim(list(a)))
+    while len(v) > 1:
+        du = len(u) - 1
+        _poly_divmod(u, v, p)  # u is now R
+        if du * (len(v) - 1) % 2:
+            acc = -acc
+        acc = acc * pow(v[-1], du + 1 - len(u), p) % p
+        u, v = v, u
+    return acc * pow(v[0], len(u) - 1, p) % p if v else 0
+
+
+def _poly_inv(a, f, p):
+    """a^-1 mod f by the extended Euclidean algorithm, for a coprime to f.
+
+    Each step keeps s with s * a = r (mod f) for the current remainder r, so
+    when r is a nonzero constant c, s / c is the inverse.  The first step
+    divides a by f, which only trims a."""
+    r0, r1 = list(a), list(f)
+    s0, s1 = [1], []
+    while len(r1) > 1:
+        quot = _poly_divmod(r0, r1, p)  # r0 is now r0 mod r1
+        s = s0 + [0] * (len(quot) + len(s1) - 1 - len(s0))
+        for i, qi in enumerate(quot):
+            if qi:
+                for j, sj in enumerate(s1, i):
+                    if sj:
+                        s[j] = (s[j] - qi * sj) % p
+        r0, r1, s0, s1 = r1, r0, s1, s
+    c = pow(r1[0], p - 2, p)
+    return tuple(x * c % p for x in s1)
 
 
 def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
@@ -329,9 +389,10 @@ class Field:
         return self.encode(_poly_powmod(self.decode(a), e, self.modulus, self.p))
 
     def inv(self, a: int) -> int:
+        """a^-1 by the extended Euclidean algorithm on the decoded tuple."""
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.order - 2)
+        return self.encode(_poly_inv(self.decode(a), self.modulus, self.p))
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -366,14 +427,24 @@ class Field:
 
     @cached_property
     def generator(self) -> int:
-        """First code (ascending) generating the full multiplicative group.
+        """First code (ascending) generating the full multiplicative group:
+        z^((p^k - 1)/r) != 1 for every prime r | p^k - 1.
 
         For k >= 2 the scan starts at code p: codes below p are the F_p
-        constants, whose orders divide p - 1 < p^k - 1.
+        constants, whose orders divide p - 1 < p^k - 1.  For a prime
+        r | p - 1 the test is z^((p^k - 1)/r) = N(z)^((p - 1)/r) with the norm
+        N(z) = Res(f, z) in F_p, a power of an integer mod p; only the other
+        primes cost a Field.pow.
         """
-        n1 = self.order - 1
-        cofactors = [n1 // r for r, _ in self.order_factorization]
-        for z in range(1 if self.k == 1 else self.p, self.order):
+        p, n1 = self.p, self.order - 1
+        primes = [r for r, _ in self.order_factorization]
+        norm_exps = [(p - 1) // r for r in primes if (p - 1) % r == 0]
+        cofactors = [n1 // r for r in primes if (p - 1) % r]
+        for z in range(1 if self.k == 1 else p, self.order):
+            if norm_exps:
+                norm = _poly_res(self.modulus, self.decode(z), p)
+                if any(pow(norm, e, p) == 1 for e in norm_exps):
+                    continue
             if all(self.pow(z, c) != 1 for c in cofactors):
                 return z
         raise ArithmeticError("no generator found")  # unreachable
@@ -402,22 +473,28 @@ class Field:
         return sorted(els)
 
     def sqrt(self, a: int) -> int:
-        """A square root in odd characteristic (Tonelli-Shanks); raises if none."""
+        """A square root in odd characteristic (Tonelli-Shanks); raises if none.
+
+        Euler's test a^((p^k - 1)/2) = 1 runs on the norm to F_p, as
+        N(a)^((p - 1)/2) mod p with N(a) = Res(f, a).  With p^k - 1 = s * 2^m,
+        s odd, one power h = a^((s - 1)/2) gives both a^((s + 1)/2) = a * h
+        and a^s = a * h^2."""
         if self.p == 2:
             # squaring is the Frobenius, its inverse is x -> x^(2^(k-1))
             return self.pow(a, self.order // 2)
         if a == 0:
             return 0
-        n1 = self.order - 1
-        if self.pow(a, n1 // 2) != 1:
+        p, n1 = self.p, self.order - 1
+        if pow(_poly_res(self.modulus, self.decode(a), p), (p - 1) // 2, p) != 1:
             raise ValueError("element is not a square")
         s, m = n1, 0
         while s % 2 == 0:
             s //= 2
             m += 1
         z = self.pow(self.generator, s)  # order 2^m
-        x = self.pow(a, (s + 1) // 2)
-        b = self.pow(a, s)
+        h = self.pow(a, (s - 1) // 2)
+        x = self.mul(a, h)  # a^((s + 1)/2)
+        b = self.mul(x, h)  # a^s
         while b != 1:
             t, k = b, 0
             while t != 1:

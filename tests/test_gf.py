@@ -157,6 +157,95 @@ def test_generator_matches_brute_force_scan():
         assert F.generator == brute
 
 
+def _all_cofactor_generator(F):
+    # the scan without the norm: every prime of p^k - 1 through Field.pow
+    n1 = F.order - 1
+    cofactors = [n1 // r for r, _ in factorize(n1)]
+    for z in range(1 if F.k == 1 else F.p, F.order):
+        if all(F.pow(z, c) != 1 for c in cofactors):
+            return z
+
+
+def test_generator_matches_all_cofactor_scan():
+    fields = [(p, k) for p in range(2, 64) if is_prime(p)
+              for k in range(1, 17) if p**k <= 2**16]
+    for p, k in fields + [(3067, 2), (4093, 2)]:
+        F = Field(p, k)
+        assert F.generator == _all_cofactor_generator(F), (p, k)
+
+
+@pytest.mark.parametrize("p, k", [(2, 9), (3, 7), (7, 3), (4093, 2)])
+def test_poly_res_is_the_norm_to_fp(p, k):
+    F = Field(p, k)
+    rng = random.Random(p + k)
+    constants = sorted({0, 1, 2 % p, p - 1})
+    for a in constants + [rng.randrange(F.order) for _ in range(60)]:
+        assert gf._poly_res(F.modulus, F.decode(a), p) == F.norm_to(a, 1), a
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 8), (2, 13), (3, 1), (3, 7), (7, 3),
+                                  (4093, 2)])
+def test_inv_matches_fermat_power(p, k):
+    F = Field(p, k)
+    rng = random.Random(p + k)
+    for a in [1, F.order - 1] + [rng.randrange(1, F.order) for _ in range(50)]:
+        assert F.inv(a) == F.pow(a, F.order - 2), a
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (17, 1), (3, 7), (7, 3), (4093, 2)])
+def test_sqrt_matches_euler_power(p, k):
+    # Euler's test on the norm refuses exactly the nonsquares of the full power
+    F = Field(p, k)
+    rng = random.Random(p + k)
+    for a in [1, F.order - 1] + [rng.randrange(1, F.order) for _ in range(40)]:
+        if F.pow(a, (F.order - 1) // 2) == 1:
+            r = F.sqrt(a)
+            assert F.mul(r, r) == a
+        else:
+            with pytest.raises(ValueError):
+                F.sqrt(a)
+
+
+def _refuse(*_args):
+    raise AssertionError("call not expected here")
+
+
+@pytest.mark.parametrize("p, k", [(3, 5), (4093, 2), (2, 8)])
+def test_inv_takes_no_product(p, k, monkeypatch):
+    # Euclid, not a^(order - 2): no _poly_mulmod (odd p), no Field.mul (p = 2)
+    F = Field(p, k)
+    xs = random.Random(k).sample(range(1, F.order), 30)
+    expected = [F.pow(a, F.order - 2) for a in xs]
+    monkeypatch.setattr(gf, "_poly_mulmod", _refuse)
+    monkeypatch.setattr(Field, "mul", _refuse)
+    assert [F.inv(a) for a in xs] == expected
+
+
+@pytest.mark.parametrize("p", [3, 13, 4093])
+def test_prime_field_generator_takes_no_power(p, monkeypatch):
+    # every prime of p - 1 is tested on the norm, which is z itself
+    expected = _all_cofactor_generator(Field(p, 1))
+    monkeypatch.setattr(Field, "pow", _refuse)
+    assert Field(p, 1).generator == expected
+
+
+def test_generator_powers_fewer_than_candidates(monkeypatch):
+    # at (4093,2) the primes of p - 1 never reach Field.pow, and a candidate
+    # they reject costs none
+    F = Field(4093, 2)
+    calls, pow_ = [], Field.pow
+
+    def counting(self, a, e):
+        calls.append((a, e))
+        return pow_(self, a, e)
+
+    monkeypatch.setattr(Field, "pow", counting)
+    candidates = F.generator - F.p + 1
+    assert 0 < len(calls) < candidates
+
+
 def test_make_field_for_q0_is_cached():
     assert make_field_for_q0(9, 2) is make_field_for_q0(9, 2)
     assert make_field_for_q0(9, 2) is make_field(3, 2, 2)
