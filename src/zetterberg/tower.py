@@ -66,12 +66,17 @@ def quadratic_character(ctx: FieldContext, x: int, level: str) -> int:
 def chi_field(F: Field, x: int, order: int | None = None) -> int:
     """Quadratic character of the subfield of F of the given order (all of F
     by default), by Euler's criterion; x must lie in that subfield, which is
-    not checked."""
+    not checked.  Over F_p, x is a constant code below p, and the criterion
+    runs on the integer."""
     if F.p == 2:
         raise PreconditionViolated("quadratic character needs odd characteristic")
     if x == 0:
         return 0
-    t = F.pow(x, ((order or F.order) - 1) // 2)
+    order = order or F.order
+    if order == F.p:
+        t = pow(x, (F.p - 1) // 2, F.p)
+    else:
+        t = F.pow(x, (order - 1) // 2)
     return 1 if t == 1 else -1
 
 

@@ -1,5 +1,6 @@
-"""Static checks on the package source, by `ast` alone: no unused imports
-and no unreferenced private names."""
+"""Static checks on the package source, by `ast` alone: no unused imports,
+no unreferenced private names, and numpy imported at module level by
+`_bulk` alone."""
 
 import ast
 from collections import Counter
@@ -76,3 +77,22 @@ def test_every_private_name_is_referenced():
             if loaded[short] == _loaded_names(node)[short]:
                 unreferenced.append(f"{name}: {qualname}")
     assert unreferenced == []
+
+
+def test_only_bulk_imports_numpy_at_module_level():
+    # `import zetterberg` loads no numpy: the other modules reach numpy, or
+    # `_bulk` (which imports it), only inside the routes that use arrays
+    offenders = []
+    for name, tree in MODULES.items():
+        if name == "_bulk.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            if any(m.split(".")[0] in ("numpy", "_bulk") for m in imported):
+                offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []

@@ -55,7 +55,7 @@ def _classes_count(ctx):
 
 
 def _class_layers(ctx):
-    return R._class_layers(R._NormClasses(ctx))
+    return _bulk._class_layers(_bulk._NormClasses(ctx))
 
 
 def _element_layers(ctx):
@@ -122,7 +122,7 @@ def test_class_edges_match_brute_force():
     # that realise it, classified by the ambient log table
     for q0, s in [(3, 1), (3, 2), (5, 2), (7, 1), (2, 4), (4, 2), (8, 2), (9, 2)]:
         ctx = make_field_for_q0(q0, s)
-        nc = R._NormClasses(ctx)
+        nc = _bulk._NormClasses(ctx)
         bf = BulkField(ctx)
         log = bf.build_log_table(bf.build_exp())
         r, Q = _classes_count(ctx), ctx.q - 1
@@ -141,7 +141,7 @@ def test_class_layers_do_not_depend_on_the_block_size(monkeypatch):
     # one row per edge block: every level runs through many blocks
     cells = [(3, 4), (5, 3), (2, 8), (4, 4), (27, 2)]
     wide = {cell: _layer_counts(make_field_for_q0(*cell)) for cell in cells}
-    monkeypatch.setattr(R, "_GRID_BLOCK", 1)
+    monkeypatch.setattr(_bulk, "_GRID_BLOCK", 1)
     for cell in cells:
         assert _layer_counts(make_field_for_q0(*cell)) == wide[cell], cell
 
@@ -237,7 +237,7 @@ def test_criterion_representation_independent():
         p, m = prime_power_split(q0)
         K = Field(p, s * m, find_irreducible(p, s * m, skip=1))
         assert K.modulus != R._criterion_field(q0, s, Caps()).modulus
-        witness = R._scan(K, q0, R._EvalBudget(Caps().scan_cap))[0]
+        witness = _bulk._scan(K, q0, _bulk._EvalBudget(Caps().scan_cap))[0]
         assert (3 if witness is not None else 2) == R.rho_criterion(q0, s).rho
 
 
@@ -286,7 +286,7 @@ def test_scan_tests_decode_no_code(monkeypatch):
     # an odd-q0 count scan; (16,5) has rho = 2, so its scan runs all 15
     # tests on every block
     decode = BulkField.decode
-    survivors = R._survivors
+    survivors = _bulk._survivors
     calls = {"decode": 0, "in_tests": 0, "tests": 0}
     inside = []
 
@@ -306,13 +306,13 @@ def test_scan_tests_decode_no_code(monkeypatch):
         return survivors(cur, n_tests, run, budget)
 
     monkeypatch.setattr(BulkField, "decode", counting_decode)
-    monkeypatch.setattr(R, "_survivors", watched)
+    monkeypatch.setattr(_bulk, "_survivors", watched)
     assert R.witness_count_odd(5, 7) == 19530
     assert calls["tests"] > 0 and calls["decode"] > 0
     assert calls["in_tests"] == 0
     calls.update(decode=0, tests=0)
     K = R._criterion_field(16, 5, Caps())
-    assert R._scan(K, 16, R._EvalBudget(Caps().scan_cap)) == (None, 0)
+    assert _bulk._scan(K, 16, _bulk._EvalBudget(Caps().scan_cap)) == (None, 0)
     assert calls["tests"] > 0 and calls["decode"] > 0
     assert calls["in_tests"] == 0
 
@@ -454,7 +454,7 @@ def test_half_code_bfs_matches_full_oracle_layers():
 def test_half_full_check_runs_no_bfs(monkeypatch):
     def no_bfs(*args):
         raise AssertionError("a BFS was called")
-    monkeypatch.setattr(R, "_class_layers", no_bfs)
+    monkeypatch.setattr(_bulk, "_class_layers", no_bfs)
     monkeypatch.setattr(_bulk, "covering_layers", no_bfs)
     for q0, s in [(3, 2), (7, 3), (13, 2)]:
         assert R.half_full_radius_equality_check(q0, s)
@@ -575,12 +575,12 @@ def test_scan_matches_naive_double_loops():
         if s % 2:  # both parities: (4,5) has 45 witnesses, (16,3) none
             if q0 % 2:
                 assert R.witness_count_odd(q0, s) == len(naive)
-            budget = R._EvalBudget(Caps().scan_cap)
-            assert R._scan(K, q0, budget, count_all=True) == (first, len(naive))
+            budget = _bulk._EvalBudget(Caps().scan_cap)
+            assert _bulk._scan(K, q0, budget, count_all=True) == (first, len(naive))
             assert budget.used == sum(charges.values())
         if not naive:  # a rho=2 scan is exhaustive too
-            budget = R._EvalBudget(Caps().scan_cap)
-            assert R._scan(K, q0, budget) == (None, 0)
+            budget = _bulk._EvalBudget(Caps().scan_cap)
+            assert _bulk._scan(K, q0, budget) == (None, 0)
             assert budget.used == sum(charges.values())
 
 
@@ -606,8 +606,8 @@ def test_even_q0_with_s_2_builds_no_table(monkeypatch):
 
     monkeypatch.setattr(BulkField, "build_exp", refuse)
     for q0 in (512, 1024):
-        budget = R._EvalBudget(Caps().scan_cap)
-        assert R._scan(R._criterion_field(q0, 2, Caps()), q0, budget) == (None, 0)
+        budget = _bulk._EvalBudget(Caps().scan_cap)
+        assert _bulk._scan(R._criterion_field(q0, 2, Caps()), q0, budget) == (None, 0)
         assert budget.used == 0
         assert R.rho_criterion(q0, 2).rho == 2
 
@@ -621,9 +621,9 @@ def test_early_exit_budget_pinned():
         K, d, naive, charges = _naive_scan(q0, s)
         end, size = 0, max(1 << 8, (K.order - 1) >> 9)
         while end <= naive[0]:
-            end, size = min(end + size, d), min(2 * size, R._BLOCK)
-        budget = R._EvalBudget(Caps().scan_cap)
-        first = R._scan(R._criterion_field(q0, s, Caps()), q0, budget)[0]
+            end, size = min(end + size, d), min(2 * size, _bulk._BLOCK)
+        budget = _bulk._EvalBudget(Caps().scan_cap)
+        first = _bulk._scan(R._criterion_field(q0, s, Caps()), q0, budget)[0]
         assert first == K.pow(K.generator, naive[0])
         assert budget.used == sum(c for r, c in charges.items() if r < end)
     # the same charge at cells too large for the naive loop here, where the
@@ -631,11 +631,11 @@ def test_early_exit_budget_pinned():
     # scan_cap stops each scan with SizeCapExceeded
     for (q0, s), used in {(1849, 2): 2795, (19, 5): 8877, (43, 4): 12370}.items():
         K = R._criterion_field(q0, s, Caps())
-        budget = R._EvalBudget(Caps().scan_cap)
-        assert R._scan(K, q0, budget)[0] is not None
+        budget = _bulk._EvalBudget(Caps().scan_cap)
+        assert _bulk._scan(K, q0, budget)[0] is not None
         assert budget.used == used
         with pytest.raises(SizeCapExceeded):
-            R._scan(K, q0, R._EvalBudget(used - 1))
+            _bulk._scan(K, q0, _bulk._EvalBudget(used - 1))
 
 
 def test_scan_holds_no_table_of_size_q(monkeypatch):
@@ -647,7 +647,7 @@ def test_scan_holds_no_table_of_size_q(monkeypatch):
     build_exp = BulkField.build_exp
 
     def short_exp(self, n=None):
-        assert n is not None and n <= R._BLOCK
+        assert n is not None and n <= _bulk._BLOCK
         return build_exp(self, n)
 
     for name in ["build_chi_table", "build_log_table", "build_trace_table_char2"]:

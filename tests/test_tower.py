@@ -5,7 +5,7 @@ import pytest
 
 from zetterberg import tower
 from zetterberg.errors import PreconditionViolated
-from zetterberg.gf import make_field, make_field_for_q0
+from zetterberg.gf import Field, make_field, make_field_for_q0
 
 
 def test_trace_zero_and_constants():
@@ -69,6 +69,22 @@ def test_quadratic_character_f13():
     assert squares == {1, 3, 4, 9, 10, 12}
     assert tower.quadratic_character(ctx, 2, "q0") == -1
     assert tower.quadratic_character(ctx, 0, "q0") == 0
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (7, 3), (3, 5), (4093, 1)])
+def test_chi_field_over_f_p_is_euler_on_the_integer(p, k, monkeypatch):
+    # the elements of F_p are the constant codes 0 ... p-1; the reference is
+    # Euler's criterion through Field.pow, which chi_field over F_p never calls
+    F = Field(p, k)
+    expected = [0] + [1 if F.pow(x, (p - 1) // 2) == 1 else -1 for x in range(1, p)]
+
+    def refuse(*args):
+        raise AssertionError("Field.pow called")
+
+    monkeypatch.setattr(Field, "pow", refuse)
+    assert [tower.chi_field(F, x, p) for x in range(p)] == expected
+    if k == 1:  # the default order is then p as well
+        assert [tower.chi_field(F, x) for x in range(p)] == expected
 
 
 def test_quadratic_character_multiplicative_and_balanced():
