@@ -16,16 +16,18 @@ every characteristic: products, Frobenius powers, the powers of an element,
 the quadratic character (whose last product forms only digit 0 of the norm),
 the characteristic-2 inverse and the trace, fused with a Frobenius power so
 that Tr(1/y) is one matrix product after the inverse's addition chain.  The
-criterion scan keeps its elements as digit rows from the exp table to the
-verdict.  The code-level `mul` and `frobenius`, which the oracle calls,
-decode, call the same kernels and encode.
+criterion scan keeps its elements as digit rows from the exp prefix
+(`build_exp`, itself digit rows) to the verdict.  The code-level `mul` and
+`frobenius`, which the oracle calls, decode, call the same kernels and
+encode.
 
 `covering_layers`, a plain BFS over a whole additive group, is not on any
 production path: the tests use it as the element-level reference for the
 oracle, which works on norm classes instead.  Nor are the tables of size q
 (`build_chi_table`, `build_log_table`, `build_trace_table_char2`): the
-criterion scan evaluates its characters per element, and the tests and the
-benchmark's traced pass still use the tables.
+criterion scan evaluates its characters per element, and only the tests
+build the tables (the benchmark's traced pass wraps them, but none of its
+cells calls them).
 """
 
 from __future__ import annotations
@@ -238,17 +240,36 @@ class BulkField:
 
     # -- group enumeration and character tables
 
-    def powers(self, base: int, n: int) -> np.ndarray:
-        """Codes of base^j for 0 <= j < n, by doubling: powers [f, f + span)
-        are powers [0, span) times base^f, the square of the previous step's
-        constant.
+    def _double(self, rows: np.ndarray, filled: int, c: np.ndarray, n: int, out=None):
+        """Extend the digit rows of base^j from [0, filled) to [0, n) in
+        place, c the digit row of base^filled: rows [f, f + span) are rows
+        [0, span) times base^f, one product with the digit matrix of
+        y -> y * base^f in blocks of _POWERS_BLOCK rows, and base^(2f) is
+        the square of base^f.  out, if given, receives the codes of the
+        new rows; rows past rows.shape[0] are then only encoded.
+        """
+        while filled < n:
+            span = min(filled, n - filled)
+            shift = (c @ self._shift_matrix).reshape(self.k, self.k)
+            for i in range(0, span, _POWERS_BLOCK):
+                e = min(i + _POWERS_BLOCK, span)
+                block = self._reduce(rows[i:e] @ shift)  # as in _mul
+                if out is not None:
+                    out[filled + i:filled + e] = self._codes(block)
+                if filled < rows.shape[0]:
+                    rows[filled + i:filled + e] = block
+            filled += span
+            if filled < n:
+                c = self._mul(c, c)
 
-        It runs on float digit rows, so no code is decoded: a step is a
-        product with the digit matrix of y -> y * base^f, in blocks of
-        _POWERS_BLOCK rows, each block encoded once.  Only the rows below
-        the largest power of 2 under n are kept, since the last step reads
-        no row it writes.  Raises ValueError on fields too large for exact
-        float digits (n >= 2), in every characteristic.
+    def powers(self, base: int, n: int) -> np.ndarray:
+        """Codes of base^j for 0 <= j < n, by doubling (`_double`).
+
+        It runs on float digit rows, so no power is decoded, and each
+        block is encoded once.  Only the rows below the largest power of 2
+        under n are kept, since the last step reads no row it writes.
+        Raises ValueError on fields too large for exact float digits
+        (n >= 2), in every characteristic.
         """
         out = np.empty(n, dtype=np.int64)
         out[:1] = 1
@@ -257,24 +278,33 @@ class BulkField:
         kept = 1 << ((n - 1).bit_length() - 1)
         digits = np.zeros((kept, self.k), dtype=self._exact_dtype())
         digits[0, 0] = 1
-        filled, c = 1, base
-        while filled < n:
-            if filled > 1:
-                c = self.F.mul(c, c)  # base^filled
-            span = min(filled, n - filled)
-            shift = (self._digits(np.array([c])) @ self._shift_matrix).reshape(self.k, self.k)
-            for i in range(0, span, _POWERS_BLOCK):
-                e = min(i + _POWERS_BLOCK, span)
-                rows = self._reduce(digits[i:e] @ shift)  # as in _mul
-                out[filled + i:filled + e] = self._codes(rows)
-                if filled < kept:
-                    digits[filled + i:filled + e] = rows
-            filled += span
+        self._double(digits, 1, self._digits(np.array([base])), n, out)
         return out
 
-    def build_exp(self, n: int | None = None) -> np.ndarray:
-        """exp[j] = code of g^j for 0 <= j < n (default order-1)."""
-        return self.powers(self.F.generator, self.order - 1 if n is None else n)
+    @cached_property
+    def _generator_row(self) -> np.ndarray:
+        return self._digits(np.array([self.F.generator]))
+
+    def build_exp(self, n: int | None = None, prefix: np.ndarray | None = None) -> np.ndarray:
+        """Digit rows of g^j for 0 <= j < n (default order-1), stored in the
+        narrowest unsigned integer dtype that holds p - 1 (a quarter of
+        float32 for p <= 256); products with them are float, in the exact
+        dtype.  Given the rows of a shorter prefix, extends it: only rows
+        [len(prefix), n) are computed, by doubling (`_double`) from
+        g^len(prefix), the prefix's last row times g, so no power is
+        computed twice.
+        """
+        n = self.order - 1 if n is None else n
+        if prefix is None or not len(prefix):  # the row of g^0 = 1
+            prefix = np.zeros((min(n, 1), self.k), dtype=np.min_scalar_type(self.p - 1))
+            prefix[:, 0] = 1
+        filled = prefix.shape[0]
+        if filled >= n:
+            return prefix[:n]
+        rows = np.empty((n, self.k), dtype=prefix.dtype)
+        rows[:filled] = prefix
+        self._double(rows, filled, self._mul(prefix[-1:], self._generator_row), n)
+        return rows
 
     def build_chi_table(self, exp: np.ndarray) -> np.ndarray:
         """chi[code] in {-1, 0, +1} for the quadratic character (odd p)."""
@@ -502,11 +532,27 @@ def _pattern(bf: BulkField, q0: int, tests: np.ndarray):
     return keep, passes
 
 
+def _residue_dtype(d: int, p: int):
+    """int32 when every j * p of residues j < d stays below 2^31."""
+    return np.int32 if d * p < 2**31 else np.int64
+
+
+def _times_p(t: np.ndarray, p: int, d: int) -> np.ndarray:
+    """t * p mod d for residues t < d, as t * p minus its floor quotient by
+    d times d: numpy's floor division by a scalar (libdivide) costs about a
+    third of its remainder."""
+    t = t * p
+    t -= t // d * d
+    return t
+
+
 def _orbit_representatives(j: np.ndarray, d: int, p: int, k: int) -> np.ndarray:
-    """The j that are smallest in their orbit {j * p^i mod d : i < k}."""
+    """The j that are smallest in their orbit {j * p^i mod d : i < k}, as
+    `_residue_dtype` residues."""
+    j = j.astype(_residue_dtype(d, p), copy=False)
     t = j
     for _ in range(k - 1):
-        t = t * p % d
+        t = _times_p(t, p, d)
         smallest = j <= t
         j, t = j[smallest], t[smallest]
     return j
@@ -514,11 +560,12 @@ def _orbit_representatives(j: np.ndarray, d: int, p: int, k: int) -> np.ndarray:
 
 def _orbit_sizes(j: np.ndarray, d: int, p: int) -> np.ndarray:
     """The least i >= 1 with j * p^i = j mod d, for each j (p^k = 1 mod d)."""
+    j = j.astype(_residue_dtype(d, p), copy=False)
     size = np.zeros_like(j)
-    t, i = j * p % d, 1
+    t, i = _times_p(j, p, d), 1
     while not size.all():
         size[(size == 0) & (t == j)] = i
-        t, i = t * p % d, i + 1
+        t, i = _times_p(t, p, d), i + 1
     return size
 
 
@@ -536,14 +583,16 @@ def _scan(K: Field, q0: int, budget: _EvalBudget, count_all: bool = False):
     ascending j: the smallest witness index is one of them.  The count is
     (q-1)/d times the orbit sizes of the witness residues.
 
-    The residues go in blocks of x = g^j0 * g^i (i < block), the g^i from
-    a short exp table.  The first block has (q-1) >> 9 residues (at least
-    2^8), so a witness found early costs little; each next block doubles,
-    up to _BLOCK, where counting starts.  `_pattern`'s keep filters each
+    The residues, int32 where d * p < 2^31, go in blocks of
+    x = g^j0 * g^i (i < block), the g^i from a short exp prefix of
+    integer digit rows.  The first block has (q-1) >> 9 residues (at least 2^8), so a
+    witness found early costs little; each next block doubles, up to
+    _BLOCK, where counting starts, and the prefix is extended to it, not
+    rebuilt, so each g^i is computed once.  `_pattern`'s keep filters each
     block and `_survivors` runs the tests on what is left.  The elements
-    stay float digit rows: a block decodes its residues' exp entries and
-    takes one product with the digit matrix of g^j0, g^j0 moves on by one
-    product per block, and only the first witness is encoded.
+    stay float digit rows: a block gathers its residues' rows from the
+    prefix and takes one product with the digit matrix of g^j0, g^j0 moves
+    on by one product per block, and only the first witness is encoded.
 
     Even q0 with q = q0^2 has no candidate, so the scan returns at once:
     Tr(x) = x + x^q0 vanishes exactly when x^q0 = x, that is on F_q0, which
@@ -557,15 +606,16 @@ def _scan(K: Field, q0: int, budget: _EvalBudget, count_all: bool = False):
     tests = np.sort(bf.powers(K.pow(K.generator, d), n1 // d))
     keep, passes = _pattern(bf, q0, tests)
     size = _BLOCK if count_all else min(_BLOCK, max(1 << 8, n1 >> 9))
-    first, count, exp, j0 = None, 0, np.empty(0, dtype=np.int64), 0
-    g, gj0 = bf._digits(np.array([K.generator, 1])).reshape(2, 1, K.k)
+    first, count, rows, j0 = None, 0, None, 0
+    gj0 = np.zeros_like(bf._generator_row)
+    gj0[0, 0] = 1
     while j0 < d:
         n = min(size, d - j0)
-        if exp.size < n:
-            exp = bf.build_exp(n)
-            step = bf._mul(bf._digits(exp[-1:]), g)  # g^n: blocks of this size start n apart
+        if rows is None or rows.shape[0] < n:
+            rows = bf.build_exp(n, rows)
+            step = bf._mul(rows[-1:], bf._generator_row)  # g^n: blocks of this size start n apart
         j = _orbit_representatives(np.arange(max(j0, 1), j0 + n), d, K.p, K.k)
-        x = bf._digits(exp[j - j0])
+        x = rows[j - j0].astype(bf._dtype)
         if j0:
             x = bf._mul(x, gj0)
         kept = keep(x)

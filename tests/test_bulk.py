@@ -34,7 +34,7 @@ def test_exp_chi_log_tables_match_scalar():
     for p, k in [(3, 4), (2, 8), (5, 2)]:
         F = Field(p, k)
         bf = BulkField(F)
-        exp = bf.build_exp()
+        exp = bf._codes(bf.build_exp())
         x = 1
         for j in range(F.order - 1):
             assert int(exp[j]) == x
@@ -109,10 +109,18 @@ def test_char2_mul_const_matches_scalar(k):
 
 
 def test_exp_prefix_matches_full_table():
-    bf = BulkField(Field(5, 3))
-    full = bf.build_exp()
-    for n in (0, 1, 2, 7, 64, 124):
-        assert (bf.build_exp(n) == full[:n]).all()
+    # a prefix built at once, or extended from any shorter prefix, is the
+    # head of the full table's digit rows
+    for p, k in [(5, 3), (2, 7)]:
+        F = Field(p, k)
+        bf = BulkField(F)
+        full = bf.build_exp()
+        assert bf._codes(full).tolist() == [F.pow(F.generator, j) for j in range(F.order - 1)]
+        sizes = (0, 1, 2, 3, 7, 8, 64, 65, 100, F.order - 1)
+        for n in sizes:
+            assert (bf.build_exp(n) == full[:n]).all()
+            for m in sizes:
+                assert (bf.build_exp(n, bf.build_exp(m)) == full[:n]).all(), (p, k, m, n)
 
 
 @pytest.mark.parametrize("p,k", [(3, 4), (5, 3), (29, 2), (5, 9), (7, 7)])
@@ -130,7 +138,7 @@ def test_chi_kernel_matches_table_and_norm(p, k):
         rows = bf._digits(np.arange(F.order, dtype=np.int64))
     chi = bf._chi(rows)
     if not sampled:
-        assert (chi == bf.build_chi_table(bf.build_exp())).all()
+        assert (chi == bf.build_chi_table(bf._codes(bf.build_exp()))).all()
     for y, c in zip(bf._codes(rows).tolist(), chi):
         # scalar reference: Euler's criterion on the norm down to F_p
         euler = pow(F.norm_to(y, 1), (p - 1) // 2, p)
@@ -201,6 +209,8 @@ def test_digit_kernels_refuse_inexact_fields():
         bf._chi(bf._digits(codes))
     with pytest.raises(ValueError):
         bf.powers(2, 5)
+    with pytest.raises(ValueError):
+        bf.build_exp(5)
 
 
 def _scalar_layers(F, steps):

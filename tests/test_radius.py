@@ -62,7 +62,7 @@ def _element_layers(ctx):
     # the class oracle's layers expanded to every syndrome code; the class of
     # y != 0 is log_g(y) mod r, read off an ambient log table
     bf = BulkField(ctx)
-    out = _class_layers(ctx)[bf.build_log_table(bf.build_exp()) % _classes_count(ctx)]
+    out = _class_layers(ctx)[bf.build_log_table(bf._codes(bf.build_exp())) % _classes_count(ctx)]
     out[0] = 0
     return out
 
@@ -124,7 +124,7 @@ def test_class_edges_match_brute_force():
         ctx = make_field_for_q0(q0, s)
         nc = _bulk._NormClasses(ctx)
         bf = BulkField(ctx)
-        log = bf.build_log_table(bf.build_exp())
+        log = bf.build_log_table(bf._codes(bf.build_exp()))
         r, Q = _classes_count(ctx), ctx.q - 1
         expected = np.full((Q, Q + 1), -1)
         for z in range(1, ctx.order):
@@ -315,6 +315,84 @@ def test_scan_tests_decode_no_code(monkeypatch):
     assert _bulk._scan(K, 16, _bulk._EvalBudget(Caps().scan_cap)) == (None, 0)
     assert calls["tests"] > 0 and calls["decode"] > 0
     assert calls["in_tests"] == 0
+
+
+def test_scan_decodes_no_more_as_blocks_grow(monkeypatch):
+    # a block gathers its elements from the exp prefix's digit rows, so a
+    # count scan's decode calls do not grow with its blocks: (5,7) scans 2
+    # blocks of _BLOCK residues, (5,9) scans 30
+    decode = BulkField.decode
+    calls = []
+
+    def counting_decode(self, codes):
+        calls[-1] += 1
+        return decode(self, codes)
+
+    monkeypatch.setattr(BulkField, "decode", counting_decode)
+    for s, count in [(7, 19530), (9, 488280)]:
+        calls.append(0)
+        assert R.witness_count_odd(5, s) == count
+    assert calls[0] == calls[1] > 0
+
+
+def test_exhaustive_scans_pinned():
+    # the heaviest exhaustive scans of the benchmark, many blocks at
+    # _BLOCK each: first witness code, count and charge of the count scans,
+    # and the charge of the rho = 2 scans (no witness)
+    pinned = {(5, 9, True): (237, 488280, 162802), (7, 7, True): (272348, 103005, 68516),
+              (17, 5, True): (174574, 5560, 70727), (8, 7, False): (None, 0, 2327),
+              (16, 5, False): (None, 0, 252), (83, 3, False): (None, 0, 9321)}
+    for (q0, s, count_all), (first, count, used) in pinned.items():
+        budget = _bulk._EvalBudget(Caps().scan_cap)
+        K = R._criterion_field(q0, s, Caps())
+        assert _bulk._scan(K, q0, budget, count_all) == (first, count), (q0, s)
+        assert budget.used == used, (q0, s)
+
+
+def test_scan_builds_each_power_once(monkeypatch):
+    # the scan extends its exp prefix block by block instead of rebuilding
+    # it: the rows build_exp computes add up to the final prefix length
+    build_exp = BulkField.build_exp
+    built = []
+
+    def counting_exp(self, *args, **kwargs):
+        rows = build_exp(self, *args, **kwargs)
+        prefix = args[1] if len(args) > 1 else kwargs.get("prefix")
+        built.append((rows.shape[0], 0 if prefix is None else prefix.shape[0]))
+        return rows
+
+    monkeypatch.setattr(BulkField, "build_exp", counting_exp)
+    for q0, s in [(8, 7), (16, 5), (83, 3)]:
+        built.clear()
+        assert R.rho_criterion(q0, s).rho == 2
+        assert len(built) > 1, (q0, s)
+        final = built[-1][0]
+        assert sum(n - old for n, old in built) == final <= _bulk._BLOCK, (q0, s)
+
+
+def _orbit_reference(j, d, p, k):
+    # pure Python: j is a representative when no j * p^i mod d is smaller,
+    # and its orbit size is the least i >= 1 with j * p^i = j mod d
+    orbit = [j * p**i % d for i in range(k)]
+    return min(orbit) == j, orbit[1:].index(j) + 1 if j in orbit[1:] else k
+
+
+@pytest.mark.parametrize("d,p,k", [(299593, 2, 21), (69905, 2, 20), (976562, 5, 9),
+                                   (177482, 17, 5), (242, 3, 5),
+                                   (65537**2 + 65537 + 1, 65537, 3)])
+def test_orbit_walk_matches_pure_python(d, p, k):
+    # blocks at the start, middle and end of [1, d): the scan residues d of
+    # (8,7), (16,5), (5,9), (17,5) and (3,5) run in int32 (d * p < 2^31);
+    # the last d, of (65537, 3), runs in int64
+    assert pow(p, k, d) == 1
+    assert _bulk._residue_dtype(d, p) == (np.int32 if d * p < 2**31 else np.int64)
+    for lo in sorted({1, d // 2, max(1, d - 300)}):
+        j = np.arange(lo, min(lo + 300, d), dtype=np.int64)
+        ref = [_orbit_reference(int(i), d, p, k) for i in j]
+        reps = _bulk._orbit_representatives(j, d, p, k)
+        assert reps.dtype == _bulk._residue_dtype(d, p)
+        assert reps.tolist() == [int(i) for i, (smallest, _) in zip(j, ref) if smallest]
+        assert _bulk._orbit_sizes(j, d, p).tolist() == [size for _, size in ref]
 
 
 def test_shortcut_rules():
@@ -646,9 +724,9 @@ def test_scan_holds_no_table_of_size_q(monkeypatch):
 
     build_exp = BulkField.build_exp
 
-    def short_exp(self, n=None):
+    def short_exp(self, n=None, prefix=None):
         assert n is not None and n <= _bulk._BLOCK
-        return build_exp(self, n)
+        return build_exp(self, n, prefix)
 
     for name in ["build_chi_table", "build_log_table", "build_trace_table_char2"]:
         monkeypatch.setattr(BulkField, name, refuse)
