@@ -37,7 +37,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SizeCapExceeded
 from .gf import Field, FieldContext
 
 _POWERS_BLOCK = 1 << 16  # digit rows per product in `powers`
@@ -453,40 +452,18 @@ def _first_at_depth(nc: _NormClasses, layer: np.ndarray, depth: int) -> int:
 # criterion scan (works in F_q, never in the ambient field)
 
 
-class _EvalBudget:
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.used = 0
-
-    def spend(self, n: int):
-        self.used += n
-        if self.used > self.cap:
-            raise SizeCapExceeded(
-                f"criterion scan exceeded {self.cap} character evaluations")
-
-
-def _survivors(cur: np.ndarray, n_tests: int, passes, budget: _EvalBudget) -> np.ndarray:
-    """The entries of cur that pass tests 0, 1, ..., n_tests-1 in order.
+def _survivors(cur: np.ndarray, n_tests: int, passes) -> np.ndarray:
+    """The entries of cur that pass tests 0, 1, ..., n_tests-1.
 
     passes(cur, t0, t1) is the (len(cur), t1 - t0) pass matrix of tests
     [t0, t1).  The tests run one at a time until the survivors times the
     tests left fit in the size of the first test, or in _WIDE; the rest is
-    then one 2-D call.  Either way the budget is charged, call by call, what
-    a loop of one test at a time charges: the entries still alive before
-    each test, read off a cumulative AND along the test axis.
+    then one 2-D call, whose rows pass when they pass every test.
     """
     first, t = cur.size, 0
     while cur.size and t < n_tests:
         width = n_tests - t if cur.size * (n_tests - t) <= max(first, _WIDE) else 1
-        budget.spend(cur.size)
-        ok = passes(cur, t, t + width)
-        if width > 1:
-            ok = np.logical_and.accumulate(ok, axis=1)
-            for n in ok[:, :-1].sum(axis=0):
-                if n == 0:
-                    break
-                budget.spend(int(n))
-        cur = cur[ok[:, -1]]
+        cur = cur[passes(cur, t, t + width).all(axis=1)]
         t += width
     return cur
 
@@ -569,7 +546,7 @@ def _orbit_sizes(j: np.ndarray, d: int, p: int) -> np.ndarray:
     return size
 
 
-def _scan(K: Field, q0: int, budget: _EvalBudget, count_all: bool = False):
+def _scan(K: Field, q0: int, count_all: bool = False):
     """The criterion's first witness x = g^j in F_q (smallest j) and the
     witness count: returns (first witness or None, count), with count only
     exact when count_all.
@@ -581,7 +558,9 @@ def _scan(K: Field, q0: int, budget: _EvalBudget, count_all: bool = False):
     and j -> p j (x -> x^p, likewise).  So the scan walks only the residues
     0 < j < d that are smallest in their orbit under j -> p j mod d, in
     ascending j: the smallest witness index is one of them.  The count is
-    (q-1)/d times the orbit sizes of the witness residues.
+    (q-1)/d times the orbit sizes of the witness residues.  The residues
+    times the tests are d (q-1)/d = q - 1, so a scan makes fewer than q - 1
+    evaluations: the caller's cap on q bounds its work.
 
     The residues, int32 where d * p < 2^31, go in blocks of
     x = g^j0 * g^i (i < block), the g^i from a short exp prefix of
@@ -621,7 +600,7 @@ def _scan(K: Field, q0: int, budget: _EvalBudget, count_all: bool = False):
         kept = keep(x)
         j, x = j[kept], x[kept]
         cur = _survivors(np.arange(j.size), tests.size,
-                         lambda i, t0, t1: passes(x[i], j[i], t0, t1), budget)
+                         lambda i, t0, t1: passes(x[i], j[i], t0, t1))
         if cur.size:
             if first is None:
                 first = int(bf._codes(x[cur[:1]])[0])

@@ -21,9 +21,9 @@ class Caps:
     # largest syndrome space q**2 the covering-radius oracle will layer (its
     # BFS runs over norm classes, on tables of size O(q))
     oracle_cap: int = 2**20
-    # character-evaluation budget for a criterion scan (counted as consumed)
-    scan_cap: int = 2**28
-    # largest field order q the criterion scan will walk
+    # largest field order q the criterion scan will walk.  Its residues times
+    # its tests are q - 1, so it makes fewer than q - 1 character evaluations,
+    # and its tests fit in memory: (q0 - 1)/2 or q0 - 1 of them
     criterion_order_cap: int = 2**25
     # weight-4 exhaustive search only for codes up to this length
     exhaustive_len_cap: int = 64

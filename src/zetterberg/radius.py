@@ -142,7 +142,7 @@ def rho_criterion(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> RadiusReport:
         raise PreconditionViolated("criterion applies for s >= 2")
     K = _criterion_field(q0, s, caps)
     from . import _bulk
-    witness, _ = _bulk._scan(K, q0, _bulk._EvalBudget(caps.scan_cap))
+    witness, _ = _bulk._scan(K, q0)
     return RadiusReport(
         q0=q0, s=s, rho=3 if witness is not None else 2, method="criterion",
         witness=None if witness is None else list(K.decode(witness)),
@@ -169,7 +169,7 @@ def witness_count_odd(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> int:
         raise PreconditionViolated("witness counting is stated for odd s >= 3")
     K = _criterion_field(q0, s, caps)
     from . import _bulk
-    _, count = _bulk._scan(K, q0, _bulk._EvalBudget(caps.scan_cap), count_all=True)
+    _, count = _bulk._scan(K, q0, count_all=True)
     return count
 
 

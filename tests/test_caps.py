@@ -12,12 +12,12 @@ def test_defaults():
 def test_config_file_overrides(tmp_path, monkeypatch):
     cfg = tmp_path / "caps.conf"
     cfg.write_text("# limits for a small machine\noracle_cap = 65536\n"
-                   "scan_cap=1000000\n\n")
+                   "criterion_order_cap=1000000\n\n")
     monkeypatch.setenv(ENV_CONFIG, str(cfg))
     caps = load_caps()
     assert caps.oracle_cap == 65536
-    assert caps.scan_cap == 1000000
-    assert caps.criterion_order_cap == Caps().criterion_order_cap  # untouched keys keep defaults
+    assert caps.criterion_order_cap == 1000000
+    assert caps.max_ambient_order == Caps().max_ambient_order  # untouched keys keep defaults
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -36,6 +36,6 @@ def test_hex_values_allowed(tmp_path):
 @pytest.mark.parametrize("value", ["0", "-1", "-0x10"])
 def test_non_positive_value_rejected(tmp_path, value):
     cfg = tmp_path / "caps.conf"
-    cfg.write_text(f"scan_cap={value}\n")
+    cfg.write_text(f"oracle_cap={value}\n")
     with pytest.raises(ValueError):
         load_caps(str(cfg))

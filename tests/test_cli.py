@@ -179,7 +179,8 @@ def test_classify_rejects_nonpositive_s_max():
 
 
 def test_bad_config_is_usage_error(tmp_path, monkeypatch):
-    for text in ("scan_cap=0\n", "no_such_cap=1\n", "oracle_cap=many\n"):
+    # scan_cap names no cap: criterion_order_cap bounds every criterion scan
+    for text in ("oracle_cap=0\n", "no_such_cap=1\n", "scan_cap=1\n", "oracle_cap=many\n"):
         cfg = tmp_path / "caps.conf"
         cfg.write_text(text)
         monkeypatch.setenv(ENV_CONFIG, str(cfg))

@@ -1,6 +1,6 @@
 """Static checks on the package source, by `ast` alone: no unused imports,
-no unreferenced private names, and numpy imported at module level by
-`_bulk` alone."""
+no unreferenced private names, no cap that nothing enforces, and numpy
+imported at module level by `_bulk` alone."""
 
 import ast
 from collections import Counter
@@ -77,6 +77,17 @@ def test_every_private_name_is_referenced():
             if loaded[short] == _loaded_names(node)[short]:
                 unreferenced.append(f"{name}: {qualname}")
     assert unreferenced == []
+
+
+def test_every_cap_is_read_outside_caps():
+    # a Caps field that no other module reads is a cap that nothing enforces
+    caps_class = next(node for node in MODULES["caps.py"].body
+                      if isinstance(node, ast.ClassDef) and node.name == "Caps")
+    fields = {node.target.id for node in caps_class.body if isinstance(node, ast.AnnAssign)}
+    read = {node.attr for name, tree in MODULES.items() if name != "caps.py"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert fields and fields - read == set()
 
 
 def test_only_bulk_imports_numpy_at_module_level():

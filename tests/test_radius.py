@@ -237,7 +237,7 @@ def test_criterion_representation_independent():
         p, m = prime_power_split(q0)
         K = Field(p, s * m, find_irreducible(p, s * m, skip=1))
         assert K.modulus != R._criterion_field(q0, s, Caps()).modulus
-        witness = _bulk._scan(K, q0, _bulk._EvalBudget(Caps().scan_cap))[0]
+        witness = _bulk._scan(K, q0)[0]
         assert (3 if witness is not None else 2) == R.rho_criterion(q0, s).rho
 
 
@@ -257,12 +257,6 @@ def test_witness_count_rejects_even_s():
         R.witness_count_odd(13, 2)
 
 
-def test_scan_cap_enforced():
-    tight = Caps(scan_cap=10)
-    with pytest.raises(SizeCapExceeded):
-        R.rho_criterion_odd(17, 3, caps=tight)
-
-
 def test_digit_kernel_limit_is_a_cap(monkeypatch):
     # with criterion_order_cap lifted, a field beyond exact float digits is
     # refused like any cap, before the field (or context) is even built
@@ -271,6 +265,12 @@ def test_digit_kernel_limit_is_a_cap(monkeypatch):
 
     monkeypatch.setattr(R, "Field", refuse)
     monkeypatch.setattr(R, "make_field_for_q0", refuse)
+    # at the default caps the criterion's only refusal, the cap on q, also
+    # comes before any work: no scan stops partway
+    with pytest.raises(SizeCapExceeded, match="exceeds criterion cap"):
+        R.rho_criterion(16, 9)
+    with pytest.raises(SizeCapExceeded, match="exceeds criterion cap"):
+        R.witness_count_odd(61, 7)
     lifted = Caps(criterion_order_cap=2**60)
     with pytest.raises(SizeCapExceeded, match="exact float digit kernels"):
         R.rho_criterion(200003, 2, caps=lifted)
@@ -295,7 +295,7 @@ def test_scan_tests_decode_no_code(monkeypatch):
         calls["in_tests"] += bool(inside)
         return decode(self, codes)
 
-    def watched(cur, n_tests, passes, budget):
+    def watched(cur, n_tests, passes):
         def run(i, t0, t1):
             calls["tests"] += 1
             inside.append(True)
@@ -303,7 +303,7 @@ def test_scan_tests_decode_no_code(monkeypatch):
                 return passes(i, t0, t1)
             finally:
                 inside.pop()
-        return survivors(cur, n_tests, run, budget)
+        return survivors(cur, n_tests, run)
 
     monkeypatch.setattr(BulkField, "decode", counting_decode)
     monkeypatch.setattr(_bulk, "_survivors", watched)
@@ -312,7 +312,7 @@ def test_scan_tests_decode_no_code(monkeypatch):
     assert calls["in_tests"] == 0
     calls.update(decode=0, tests=0)
     K = R._criterion_field(16, 5, Caps())
-    assert _bulk._scan(K, 16, _bulk._EvalBudget(Caps().scan_cap)) == (None, 0)
+    assert _bulk._scan(K, 16) == (None, 0)
     assert calls["tests"] > 0 and calls["decode"] > 0
     assert calls["in_tests"] == 0
 
@@ -337,16 +337,14 @@ def test_scan_decodes_no_more_as_blocks_grow(monkeypatch):
 
 def test_exhaustive_scans_pinned():
     # the heaviest exhaustive scans of the benchmark, many blocks at
-    # _BLOCK each: first witness code, count and charge of the count scans,
-    # and the charge of the rho = 2 scans (no witness)
-    pinned = {(5, 9, True): (237, 488280, 162802), (7, 7, True): (272348, 103005, 68516),
-              (17, 5, True): (174574, 5560, 70727), (8, 7, False): (None, 0, 2327),
-              (16, 5, False): (None, 0, 252), (83, 3, False): (None, 0, 9321)}
-    for (q0, s, count_all), (first, count, used) in pinned.items():
-        budget = _bulk._EvalBudget(Caps().scan_cap)
+    # _BLOCK each: first witness code and count of the count scans, and no
+    # witness in the rho = 2 scans
+    pinned = {(5, 9, True): (237, 488280), (7, 7, True): (272348, 103005),
+              (17, 5, True): (174574, 5560), (8, 7, False): (None, 0),
+              (16, 5, False): (None, 0), (83, 3, False): (None, 0)}
+    for (q0, s, count_all), (first, count) in pinned.items():
         K = R._criterion_field(q0, s, Caps())
-        assert _bulk._scan(K, q0, budget, count_all) == (first, count), (q0, s)
-        assert budget.used == used, (q0, s)
+        assert _bulk._scan(K, q0, count_all) == (first, count), (q0, s)
 
 
 def test_scan_builds_each_power_once(monkeypatch):
@@ -592,10 +590,7 @@ def test_even_scan_matches_naive_double_loop():
 
 def _naive_scan(q0, s):
     """The criterion by plain double loops over every x = g^j, 0 <= j < q-1:
-    the field, d, the witness indices j in ascending order, and the
-    evaluations an exhaustive scan charges on each orbit representative r
-    (0 < r < d, r <= r * p^i mod d, a candidate): one per test run, up to
-    the first test that r fails."""
+    the field, d and the witness indices j in ascending order."""
     from zetterberg.gf import Field, find_irreducible, prime_power_split
     p, m = prime_power_split(q0)
     K = Field(p, s * m, find_irreducible(p, s * m))
@@ -628,21 +623,16 @@ def _naive_scan(q0, s):
     d = (K.order - 1) // len(tests)
     witnesses = [j for j, x in enumerate(powers)
                  if candidate(x) and all(passes(x, b) for b in tests)]
-    charges = {}
-    for r in range(1, d):
-        if candidate(powers[r]) and all(r <= r * p**i % d for i in range(1, s * m)):
-            charges[r] = next((i + 1 for i, b in enumerate(tests)
-                               if not passes(powers[r], b)), len(tests))
-    return K, d, witnesses, charges
+    return K, d, witnesses
 
 
 def test_scan_matches_naive_double_loops():
-    # decision, first witness, witness count, and the exact budget of every
-    # exhaustive scan; (19,3) and (23,3) are rho=2 and span two and three
-    # blocks of their 256-residue start
+    # decision, first witness and witness count of every exhaustive scan;
+    # (19,3) and (23,3) are rho=2 and span two and three blocks of their
+    # 256-residue start
     for q0, s in [(3, 2), (5, 2), (13, 3), (17, 3), (19, 3), (23, 3), (4, 5), (16, 3),
                   (4, 2)]:
-        K, _, naive, charges = _naive_scan(q0, s)
+        K, _, naive = _naive_scan(q0, s)
         rep = R.rho_criterion(q0, s)
         assert rep.rho == (3 if naive else 2)
         field = rep.witness_field
@@ -653,13 +643,9 @@ def test_scan_matches_naive_double_loops():
         if s % 2:  # both parities: (4,5) has 45 witnesses, (16,3) none
             if q0 % 2:
                 assert R.witness_count_odd(q0, s) == len(naive)
-            budget = _bulk._EvalBudget(Caps().scan_cap)
-            assert _bulk._scan(K, q0, budget, count_all=True) == (first, len(naive))
-            assert budget.used == sum(charges.values())
+            assert _bulk._scan(K, q0, count_all=True) == (first, len(naive))
         if not naive:  # a rho=2 scan is exhaustive too
-            budget = _bulk._EvalBudget(Caps().scan_cap)
-            assert _bulk._scan(K, q0, budget) == (None, 0)
-            assert budget.used == sum(charges.values())
+            assert _bulk._scan(K, q0) == (None, 0)
 
 
 def test_criterion_witnesses_are_closed_under_the_scan_symmetries():
@@ -669,7 +655,7 @@ def test_criterion_witnesses_are_closed_under_the_scan_symmetries():
         p, _ = prime_power_split(q0)
         s = 2
         while q0 ** s <= 1 << 14:
-            K, d, naive, _ = _naive_scan(q0, s)
+            K, d, naive = _naive_scan(q0, s)
             n1, witnesses = K.order - 1, set(naive)
             assert {(j + d) % n1 for j in witnesses} == witnesses, (q0, s)
             assert {p * j % n1 for j in witnesses} == witnesses, (q0, s)
@@ -678,42 +664,48 @@ def test_criterion_witnesses_are_closed_under_the_scan_symmetries():
 
 def test_even_q0_with_s_2_builds_no_table(monkeypatch):
     # Tr(x) = x + x^q0 vanishes only on F_q0, which the scan excludes: no
-    # candidate, so rho = 2 with nothing charged and no table built
+    # candidate, so rho = 2 with no table built
     def refuse(*args, **kwargs):
         raise AssertionError("exp table built")
 
     monkeypatch.setattr(BulkField, "build_exp", refuse)
     for q0 in (512, 1024):
-        budget = _bulk._EvalBudget(Caps().scan_cap)
-        assert _bulk._scan(R._criterion_field(q0, 2, Caps()), q0, budget) == (None, 0)
-        assert budget.used == 0
+        assert _bulk._scan(R._criterion_field(q0, 2, Caps()), q0) == (None, 0)
         assert R.rho_criterion(q0, 2).rho == 2
 
 
-def test_early_exit_budget_pinned():
+def _block_end(monkeypatch, q0, s):
+    """The first witness of a rho=3 scan and one past the largest residue
+    its orbit walk received: the end of the last block it scanned."""
+    walk = _bulk._orbit_representatives
+    ends = []
+
+    def watched(j, d, p, k):
+        ends.append(int(j.max()) + 1)
+        return walk(j, d, p, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_bulk, "_orbit_representatives", watched)
+        first = _bulk._scan(R._criterion_field(q0, s, Caps()), q0)[0]
+    return first, max(ends)
+
+
+def test_early_exit_block_pinned(monkeypatch):
     # a rho=3 scan stops after the block that holds its first witness (the
     # first block has (q-1) >> 9 residues, at least 2^8; each next one
-    # doubles) and charges what the naive loop charges the orbit
-    # representatives below that block's end
+    # doubles)
     for q0, s in [(13, 3), (4, 5)]:
-        K, d, naive, charges = _naive_scan(q0, s)
+        K, d, naive = _naive_scan(q0, s)
         end, size = 0, max(1 << 8, (K.order - 1) >> 9)
         while end <= naive[0]:
             end, size = min(end + size, d), min(2 * size, _bulk._BLOCK)
-        budget = _bulk._EvalBudget(Caps().scan_cap)
-        first = _bulk._scan(R._criterion_field(q0, s, Caps()), q0, budget)[0]
-        assert first == K.pow(K.generator, naive[0])
-        assert budget.used == sum(c for r, c in charges.items() if r < end)
-    # the same charge at cells too large for the naive loop here, where the
-    # last tests of a block run as one 2-D call; one evaluation less of
-    # scan_cap stops each scan with SizeCapExceeded
-    for (q0, s), used in {(1849, 2): 2795, (19, 5): 8877, (43, 4): 12370}.items():
-        K = R._criterion_field(q0, s, Caps())
-        budget = _bulk._EvalBudget(Caps().scan_cap)
-        assert _bulk._scan(K, q0, budget)[0] is not None
-        assert budget.used == used
-        with pytest.raises(SizeCapExceeded):
-            _bulk._scan(K, q0, _bulk._EvalBudget(used - 1))
+        assert _block_end(monkeypatch, q0, s) == (K.pow(K.generator, naive[0]), end)
+    # cells too large for the naive loop here, where the last tests of a
+    # block run as one 2-D call: first witness code and block end
+    pinned = {(1849, 2): (3133483, 3700), (19, 5): (1294357, 4836),
+              (43, 4): (3133483, 6677)}
+    for (q0, s), first_end in pinned.items():
+        assert _block_end(monkeypatch, q0, s) == first_end, (q0, s)
 
 
 def test_scan_holds_no_table_of_size_q(monkeypatch):
