@@ -25,10 +25,9 @@ class Caps:
     # its tests are q - 1, so it makes fewer than q - 1 character evaluations,
     # and its tests fit in memory: (q0 - 1)/2 or q0 - 1 of them
     criterion_order_cap: int = 2**25
-    # weight-4 exhaustive search only for codes up to this length
-    exhaustive_len_cap: int = 64
-    # full-codeword enumeration only while q0**dimension stays below this
-    enum_codewords_cap: int = 2**16
+    # most candidate words one weight's pass of min_distance_exhaustive may
+    # try, C(length-1, w-2) * (q0-1)^(w-2) for weight w >= 4
+    enum_codewords_cap: int = 2**18
 
 
 _FIELDS = {f: int for f in Caps.__dataclass_fields__}

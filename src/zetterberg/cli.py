@@ -75,7 +75,7 @@ def _cmd_mindist(args, caps) -> int:
     if args.exhaustive:
         ctx = make_field_for_q0(args.q0, args.s, caps=caps)
         cd = build_code(ctx, args.variant)
-        found = min_distance_exhaustive(cd, max_weight=args.max_weight, caps=caps)
+        found = min_distance_exhaustive(cd, max_weight=args.max_weight)
         out["exhaustive"] = found
         # a search bounded below the formula's d that finds nothing decides nothing
         unreached = found is None and formula is not None and formula > args.max_weight

@@ -6,11 +6,11 @@ with parity condition sum(c_i * xi^i) = 0 over all of H = <xi>, the half code
 of F_q0 coefficient codes.
 
 The positions xi^0, xi^1, ... are walked only on first read (`h_powers`,
-`positions`), by the weight scans and callers that need every position.  A
-syndrome steps from one support position to the next by a power of xi, and
-`h_index` finds the position of an element of H by baby-step giant-step,
-O(sqrt(q)) products; so the explicit weight-3 witnesses and their syndromes
-never walk H.
+`positions`), by the minimum-distance search and callers that need every
+position.  A syndrome steps from one support position to the next by a
+power of xi, and `h_index` finds the position of an element of H by
+baby-step giant-step, O(sqrt(q)) products; so the explicit weight-3
+witnesses and their syndromes never walk H.
 
 A word is a codeword exactly when M(X), the minimal polynomial of xi over
 F_q0 (degree 2s), divides sum(c_i * X^i).  Column i of the parity-check
@@ -27,12 +27,10 @@ word's weight and zero syndrome.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .caps import Caps
 from .errors import PreconditionViolated, SizeCapExceeded
 from .gf import FieldContext
 from . import charsum, tower
@@ -234,128 +232,70 @@ def min_distance_formula(q0: int, s: int, variant: str) -> int | None:
     return 4 if s % 2 == 0 else 3
 
 
-def weight2_word(code: ZetterbergCode) -> list | None:
-    """A weight-2 codeword or None; O(length) scan over position gaps."""
+def _rays(code: ZetterbergCode) -> dict[int, list[int]]:
+    """{xi^(t(q0-1)): [t, ...]} over the positions 1 <= t < length, one
+    product per position.
+
+    (c * xi^t)^(q0-1) = xi^(t(q0-1)) for c in F_q0^*, and z^(q0-1) equals it
+    exactly when z * xi^(-t) lies in F_q0^*: the key of z names the
+    positions whose ray F_q0^* * xi^t holds z.  A key holds two positions,
+    t and t + (q+1)/2, only in the odd-q0 full code."""
     ctx = code.ctx
+    step = ctx.pow(code.xi, ctx.q0 - 1)
+    rays, key = {}, 1
     for t in range(1, code.length):
-        if tower.in_subgroup(ctx, code.positions[t], "Fq0_star"):
-            word = [0] * code.length
-            word[0] = 1
-            word[t] = ctx.neg(ctx.inv(code.positions[t]))
-            return word
-    return None
+        key = ctx.mul(key, step)
+        rays.setdefault(key, []).append(t)
+    return rays
 
 
-def weight3_word(code: ZetterbergCode) -> list | None:
-    """A weight-3 codeword or None.
+def _word_of_weight(code: ZetterbergCode, w: int, rays: dict) -> list | None:
+    """A codeword of weight w with coefficient 1 at position 0, or None.
 
-    Uses the shift/scale normalization: any weight-3 word can be moved to
-    support {0, u, v} with first coefficient 1, so it suffices to scan
-    z = 1 + a*xi^u and ask whether -z lies in F_q0 * H away from the two
-    degenerate rays through xi^0 and xi^u.
-    """
-    ctx = code.ctx
-    sub_els = [c for c in tower.subfield_elements(ctx, "q0") if c != 0]
-    for u in range(1, code.length):
-        xu = code.positions[u]
-        xu_inv = ctx.inv(xu)
-        for a in sub_els:
-            z = ctx.add(1, ctx.mul(a, xu))
-            if z == 0:
-                continue
-            mz = ctx.neg(z)
-            if not tower.in_scaled_H(ctx, mz):
-                continue
-            if (tower.in_subgroup(ctx, mz, "Fq0_star")
-                    or tower.in_subgroup(ctx, ctx.mul(mz, xu_inv), "Fq0_star")):
-                continue  # third position would collide with 0 or u
-            # locate the third position and coefficient: b*xi^v = -z
-            for v in range(code.ctx.q + 1):
-                b = ctx.mul(mz, code.h_powers[-v])  # xi^(-v) = xi^(q+1-v)
-                if tower.in_subgroup(ctx, b, "Fq0_star"):
-                    return _codeword(code, [(0, 1), (u, a), (v, b)])
-    return None
+    Walks the middle terms 1 <= u_1 < ... < u_(w-2) < length with
+    coefficients a_i in F_q0^*.  When z = 1 + sum(a_i * xi^(u_i)) is nonzero
+    and its ray key holds a position t outside {u_i}, the word ends with
+    coefficient -z * xi^(-t) at t."""
+    ctx, positions, e = code.ctx, code.positions, code.q0 - 1
+    scalars = tower.subfield_elements(ctx, "q0")[1:]
 
-
-def weight4_word(code: ZetterbergCode, caps: Caps) -> list | None:
-    """A weight-4 codeword or None, by exhaustive meet-in-the-middle over
-    weight-2 partial sums."""
-    if code.length > caps.exhaustive_len_cap:
-        raise SizeCapExceeded(
-            f"length {code.length} exceeds weight-4 cap {caps.exhaustive_len_cap}")
-    ctx = code.ctx
-    sub_els = [c for c in tower.subfield_elements(ctx, "q0") if c != 0]
-    seen: dict[int, list] = {}
-    for i in range(code.length):
-        for j in range(i + 1, code.length):
-            for ci in sub_els:
-                si = ctx.mul(ci, code.positions[i])
-                for cj in sub_els:
-                    sig = ctx.add(si, ctx.mul(cj, code.positions[j]))
-                    target = ctx.neg(sig)
-                    for (k, l, ck, cl) in seen.get(target, ()):
-                        if k not in (i, j) and l not in (i, j):
-                            return _codeword(code, [(k, ck), (l, cl), (i, ci), (j, cj)])
-                    seen.setdefault(sig, []).append((i, j, ci, cj))
-    return None
-
-
-def _enumerate_min_weight(code: ZetterbergCode, caps: Caps, lower: int) -> int | None:
-    """Exact minimum weight by enumerating the codewords (tiny dimensions),
-    given that no nonzero codeword is lighter than `lower`: the walk stops
-    at the first word of that weight.
-
-    H = [I | A], so the information symbols sit at positions >= 2s and the
-    check symbols of a word are minus the A-columns weighted by them."""
-    ctx = code.ctx
-    if code.dimension == 0:
+    def extend(start, z, terms):
+        if len(terms) == w - 2:
+            for t in rays.get(ctx.pow(z, e), ()) if z else ():
+                if all(t != u for u, _ in terms):
+                    last = (t, ctx.neg(ctx.div(z, positions[t])))
+                    return _codeword(code, [(0, 1), *terms, last])
+            return None
+        for u in range(start, code.length):
+            for a in scalars:
+                word = extend(u + 1, ctx.add(z, ctx.mul(a, positions[u])), terms + [(u, a)])
+                if word:
+                    return word
         return None
-    n_words = code.q0**code.dimension
-    if n_words > caps.enum_codewords_cap:
-        raise SizeCapExceeded(
-            f"q0^dim = {n_words} exceeds enumeration cap {caps.enum_codewords_cap}")
-    n_checks = 2 * code.s
-    info_columns = list(zip(*parity_check_matrix(code)))[n_checks:]
-    best = None
-    for info in itertools.product(tower.subfield_elements(ctx, "q0"),
-                                  repeat=code.dimension):
-        w = weight(info)
-        if not w:
-            continue
-        checks = [0] * n_checks
-        for u, col in zip(info, info_columns):
-            if u:
-                checks = [ctx.sub(c, ctx.mul(u, a)) for c, a in zip(checks, col)]
-        w += weight(checks)
-        if best is None or w < best:
-            best = w
-            if best <= lower:
-                break
-    return best
+
+    return extend(1, 1, [])
 
 
-def min_distance_exhaustive(code: ZetterbergCode, max_weight: int = 4,
-                            caps: Caps | None = None) -> int | None:
-    """Least weight of a nonzero codeword if <= max_weight, else None.
+def min_distance_exhaustive(code: ZetterbergCode, max_weight: int = 4) -> int | None:
+    """Least weight w <= max_weight of a nonzero codeword, else None.
 
-    Weight 2 and 3 use the normalized scans above, weight 4 the
-    meet-in-the-middle search; higher weights fall back to codeword
-    enumeration (only feasible for tiny dimensions), which stops at the
-    first word of weight 5 since the searches before it rule out less.
+    Both codes are closed under their shift (cyclic, or constacyclic with
+    xi^length = -1 for the half code) and under scaling by F_q0^*, so a word
+    of weight w exists exactly when one has coefficient 1 at position 0: one
+    normalized pass per weight decides it.  The pass for w >= 4 tries
+    C(length-1, w-2) * (q0-1)^(w-2) candidates and is refused before it
+    starts when that exceeds enum_codewords_cap; the passes for weights 2
+    and 3 try at most length * q0 and are not capped.
     """
-    caps = caps or code.ctx.caps
-    if max_weight < 2:
-        return None
-    if weight2_word(code) is not None:
-        return 2
-    if max_weight >= 3 and weight3_word(code) is not None:
-        return 3
-    if max_weight >= 4 and weight4_word(code, caps) is not None:
-        return 4
-    if max_weight >= 5:
-        d = _enumerate_min_weight(code, caps, lower=5)
-        if d is not None and d <= max_weight:
-            return d
+    cap = code.ctx.caps.enum_codewords_cap
+    rays = _rays(code)
+    for w in range(2, max_weight + 1):
+        tries = math.comb(code.length - 1, w - 2) * (code.q0 - 1) ** (w - 2)
+        if w >= 4 and tries > cap:
+            raise SizeCapExceeded(
+                f"the weight-{w} pass tries {tries} words, over enum_codewords_cap {cap}")
+        if _word_of_weight(code, w, rays) is not None:
+            return w
     return None
 
 

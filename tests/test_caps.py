@@ -7,6 +7,8 @@ def test_defaults():
     caps = load_caps()
     assert caps == Caps()
     assert caps.oracle_cap == 2**20
+    assert caps.enum_codewords_cap == 2**18
+    assert len(Caps.__dataclass_fields__) == 4
 
 
 def test_config_file_overrides(tmp_path, monkeypatch):

@@ -148,10 +148,18 @@ def test_even_q0_half_sweep_is_usage_error(capsys):
 
 
 def test_mindist_cap_exceeded_exit_code():
-    # d = 4 needs the weight-4 pass, but length 65 is over the search cap
-    r = run_cli("mindist", "--q0", "8", "--s", "2", "--variant", "full",
+    # d = 4 needs the weight-4 pass, which would try 7,344,000 words
+    r = run_cli("mindist", "--q0", "16", "--s", "2", "--variant", "full",
                 "--exhaustive")
     assert r.returncode == 3
+
+
+def test_mindist_weight5_past_length_64():
+    r = run_cli("mindist", "--q0", "2", "--s", "6", "--variant", "full",
+                "--exhaustive")
+    assert r.returncode == 0
+    data = json.loads(r.stdout)
+    assert data["exhaustive"] == 5 and data["verified"] is True
 
 
 def test_cli_deterministic():
@@ -179,8 +187,10 @@ def test_classify_rejects_nonpositive_s_max():
 
 
 def test_bad_config_is_usage_error(tmp_path, monkeypatch):
-    # scan_cap names no cap: criterion_order_cap bounds every criterion scan
-    for text in ("oracle_cap=0\n", "no_such_cap=1\n", "scan_cap=1\n", "oracle_cap=many\n"):
+    # scan_cap and exhaustive_len_cap name no cap: criterion_order_cap bounds
+    # every criterion scan, enum_codewords_cap every codeword search pass
+    for text in ("oracle_cap=0\n", "no_such_cap=1\n", "scan_cap=1\n",
+                 "exhaustive_len_cap=64\n", "oracle_cap=many\n"):
         cfg = tmp_path / "caps.conf"
         cfg.write_text(text)
         monkeypatch.setenv(ENV_CONFIG, str(cfg))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from zetterberg import code as C
 from zetterberg.caps import Caps
 from zetterberg.classify import classify
-from zetterberg.errors import PreconditionViolated
+from zetterberg.errors import PreconditionViolated, SizeCapExceeded
 from zetterberg.gf import factorize, make_field_for_q0
 from zetterberg.tower import subfield_elements, subgroup_elements
 
@@ -186,11 +187,14 @@ def test_sphere_packing_guard():
 
 
 def test_min_distance_exhaustive_small():
+    # the last three are weight-4 and weight-5 passes over lengths 65 and 41
     cases = [(3, 2, "full", 2), (4, 2, "full", 4), (2, 2, "full", 5),
-             (5, 2, "half", 4), (3, 2, "half", 5)]
+             (5, 2, "half", 4), (3, 2, "half", 5),
+             (8, 2, "full", 4), (2, 6, "full", 5), (3, 4, "half", 5)]
     for q0, s, var, expect in cases:
         code = C.build_code(make_field_for_q0(q0, s), var)
         assert C.min_distance_exhaustive(code, max_weight=5) == expect
+        assert C.min_distance_formula(q0, s, var) == expect
 
 
 def test_min_distance_exhaustive_respects_max_weight():
@@ -198,24 +202,80 @@ def test_min_distance_exhaustive_respects_max_weight():
     assert C.min_distance_exhaustive(code, max_weight=4) is None
 
 
+# small cells of both variants where the exhaustive search checks the formula
+SWEEP = [
+    (2, 2, "full"), (2, 3, "full"), (2, 4, "full"), (2, 5, "full"),
+    (4, 2, "full"), (4, 3, "full"),
+    (3, 2, "full"), (5, 2, "full"), (7, 2, "full"), (9, 2, "full"),
+    (3, 2, "half"), (3, 3, "half"),
+    (5, 1, "half"), (5, 2, "half"), (5, 3, "half"),
+    (7, 1, "half"), (7, 2, "half"), (9, 1, "half"), (9, 2, "half"),
+]
+
+
 def test_formula_matches_exhaustive_sweep():
-    # every cell where the exhaustive search is feasible under default caps
-    cases = [
-        (2, 2, "full"), (2, 3, "full"), (2, 4, "full"), (2, 5, "full"),
-        (4, 2, "full"), (4, 3, "full"),
-        (3, 2, "full"), (5, 2, "full"), (7, 2, "full"), (9, 2, "full"),
-        (3, 2, "half"), (3, 3, "half"),
-        (5, 1, "half"), (5, 2, "half"), (5, 3, "half"),
-        (7, 1, "half"), (7, 2, "half"), (9, 1, "half"), (9, 2, "half"),
-    ]
-    for q0, s, var in cases:
+    for q0, s, var in SWEEP:
         code = C.build_code(make_field_for_q0(q0, s), var)
         formula = C.min_distance_formula(q0, s, var)
         got = C.min_distance_exhaustive(code, max_weight=5)
         assert got == formula, (q0, s, var, got, formula)
-    # beyond enumeration reach the search still brackets the formula value
+    # a search bounded below d finds nothing
     big = C.build_code(make_field_for_q0(3, 4), "half")  # d = 5, dim 33
     assert C.min_distance_exhaustive(big, max_weight=4) is None
+
+
+def test_weights_2_and_3_are_uncapped():
+    tight = Caps(enum_codewords_cap=1)
+    for q0, s, var in SWEEP:
+        formula = C.min_distance_formula(q0, s, var)
+        if formula <= 3:
+            code = C.build_code(make_field_for_q0(q0, s, caps=tight), var)
+            assert C.min_distance_exhaustive(code, max_weight=5) == formula
+    code = C.build_code(make_field_for_q0(4, 2, caps=tight), "full")  # d = 4
+    with pytest.raises(SizeCapExceeded):
+        C.min_distance_exhaustive(code)
+
+
+def test_cap_refuses_before_the_pass(monkeypatch):
+    # (16,2) full has d = 4; its weight-4 pass would try C(256,2) * 15^2 words
+    code = C.build_code(make_field_for_q0(16, 2), "full")
+    passes, search = [], C._word_of_weight
+    monkeypatch.setattr(C, "_word_of_weight",
+                        lambda code, w, rays: passes.append(w) or search(code, w, rays))
+    with pytest.raises(SizeCapExceeded, match="weight-4 pass tries 7344000 words"):
+        C.min_distance_exhaustive(code, max_weight=5)
+    assert passes == [2, 3]
+
+
+def _weights_by_enumeration(code) -> set:
+    """Weights of all nonzero codewords, over the systematic basis read from
+    the parity-check matrix [I | A]: information symbols x at positions
+    >= 2s, check symbols -A x."""
+    ctx, n_checks = code.ctx, 2 * code.s
+    info_columns = list(zip(*C.parity_check_matrix(code)))[n_checks:]
+    weights = set()
+    for info in itertools.product(subfield_elements(ctx, "q0"), repeat=code.dimension):
+        checks = [0] * n_checks
+        for x, col in zip(info, info_columns):
+            if x:
+                checks = [ctx.sub(c, ctx.mul(x, a)) for c, a in zip(checks, col)]
+        weights.add(C.weight(info) + C.weight(checks))
+    weights.discard(0)
+    return weights
+
+
+def test_search_matches_codeword_enumeration():
+    cells = [(q0, s, var) for q0, s, var in SWEEP
+             if q0 ** C.code_shape(q0, s, var)[1] <= 2**16]
+    assert len(cells) == 9
+    for q0, s, var in cells:
+        code = C.build_code(make_field_for_q0(q0, s), var)
+        weights = _weights_by_enumeration(code)
+        assert C.min_distance_exhaustive(code, max_weight=code.length) == min(weights)
+        rays = C._rays(code)
+        for w in (2, 3, 4):
+            found = C._word_of_weight(code, w, rays)
+            assert (found is not None) == (w in weights), (q0, s, var, w)
 
 
 def test_weight3_witness_even():
