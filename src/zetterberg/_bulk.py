@@ -7,24 +7,28 @@ dispatcher and imports this module inside the oracle and criterion routes,
 after their caps pass, so `import zetterberg` loads no numpy.
 
 Everything here reproduces the scalar Field semantics exactly; numpy is used
-only to process many field elements per call.  Element codes travel as int64
-arrays; digit matrices use exact small-integer arithmetic (float matmuls stay
-below the mantissa limit of their dtype, so they are exact too).
+only to process many field elements per call.  Elements travel as digit rows
+(their coefficients over F_p); they are encoded as int64 codes only where a
+caller sorts or searches them.  Digit matrices use exact small-integer
+arithmetic (float matmuls stay below the mantissa limit of their dtype, so
+they are exact too).
 
 The field kernels work on such float digit rows, with one arithmetic for
-every characteristic: products, Frobenius powers, the powers of an element,
-the quadratic character (whose last product forms only digit 0 of the norm),
-the characteristic-2 inverse and the trace, fused with a Frobenius power so
-that Tr(1/y) is one matrix product after the inverse's addition chain.  The
-criterion scan keeps its elements as digit rows from the exp prefix
-(`build_exp`, itself digit rows) to the verdict.  The code-level `mul` and
-`frobenius`, which the oracle calls, decode, call the same kernels and
-encode.
+every characteristic: products, Frobenius powers, the quadratic character
+(whose last product forms only digit 0 of the norm), the characteristic-2
+inverse and the trace, fused with a Frobenius power so that Tr(1/y) is one
+matrix product after the inverse's addition chain.  One builder, `powers`,
+forms the digit rows of base^j by doubling; `build_exp` is its call for the
+generator.  The criterion scan keeps its elements as digit rows from the exp
+prefix to the verdict and encodes its tests once, to sort them; the class
+oracle encodes its powers once, to search them, and reads its Zech logs off
+the same rows.  The code-level `mul` and `frobenius`, which the oracle
+calls, decode, call the same kernels and encode.
 
-`covering_layers`, a plain BFS over a whole additive group, is not on any
-production path: the tests use it as the element-level reference for the
-oracle, which works on norm classes instead.  Nor are the tables of size q
-(`build_chi_table`, `build_log_table`, `build_trace_table_char2`): the
+`covering_layers`, a direction-optimized BFS over a whole additive group, is
+not on any production path: the tests use it as the element-level reference
+for the oracle, which works on norm classes instead.  Nor are the tables of
+size q (`build_chi_table`, `build_log_table`, `build_trace_table_char2`): the
 criterion scan evaluates its characters per element, and only the tests
 build the tables (the benchmark's traced pass wraps them, but none of its
 cells calls them).
@@ -39,7 +43,7 @@ import numpy as np
 
 from .gf import Field, FieldContext
 
-_POWERS_BLOCK = 1 << 16  # digit rows per product in `powers`
+_POWERS_BLOCK = 1 << 16  # digit rows per product in `powers` and per encode
 _BLOCK = 1 << 15  # the most residues one criterion scan block tests
 _WIDE = 1 << 12  # a 2-D pass matrix this small costs less than a call per test
 
@@ -97,8 +101,12 @@ class BulkField:
         return self.decode(codes).astype(self._exact_dtype())
 
     def _codes(self, digits: np.ndarray) -> np.ndarray:
-        # digits are reduced mod p; float64 holds every code exactly
-        return (digits @ self._pk_float).astype(np.int64)
+        # digits are reduced mod p; float64 holds every code exactly.  In
+        # blocks of rows, so narrow integer rows are never all cast to float64
+        out = np.empty(digits.shape[0], dtype=np.int64)
+        for i in range(0, digits.shape[0], _POWERS_BLOCK):
+            out[i:i + _POWERS_BLOCK] = digits[i:i + _POWERS_BLOCK] @ self._pk_float
+        return out
 
     def _reduce(self, x: np.ndarray) -> np.ndarray:
         """x mod p for nonnegative integers x held exactly in a float dtype
@@ -239,62 +247,20 @@ class BulkField:
 
     # -- group enumeration and character tables
 
-    def _double(self, rows: np.ndarray, filled: int, c: np.ndarray, n: int, out=None):
-        """Extend the digit rows of base^j from [0, filled) to [0, n) in
-        place, c the digit row of base^filled: rows [f, f + span) are rows
-        [0, span) times base^f, one product with the digit matrix of
-        y -> y * base^f in blocks of _POWERS_BLOCK rows, and base^(2f) is
-        the square of base^f.  out, if given, receives the codes of the
-        new rows; rows past rows.shape[0] are then only encoded.
+    def powers(self, base: int, n: int, prefix: np.ndarray | None = None) -> np.ndarray:
+        """Digit rows of base^j for 0 <= j < n, stored in the narrowest
+        unsigned integer dtype that holds p - 1 (a quarter of float32 for
+        p <= 256); products with them are float, in the exact dtype.
+
+        Given the rows of a shorter prefix, extends it: rows [f, f + span)
+        are rows [0, span) times base^f, one product with the digit matrix
+        of y -> y * base^f in blocks of _POWERS_BLOCK rows, and base^(2f) is
+        the square of base^f, starting from f = len(prefix) and base^f the
+        prefix's last row times base, so no power is computed twice.
+        Raises ValueError on fields too large for exact float digits when a
+        row is left to compute, in every characteristic.
         """
-        while filled < n:
-            span = min(filled, n - filled)
-            shift = (c @ self._shift_matrix).reshape(self.k, self.k)
-            for i in range(0, span, _POWERS_BLOCK):
-                e = min(i + _POWERS_BLOCK, span)
-                block = self._reduce(rows[i:e] @ shift)  # as in _mul
-                if out is not None:
-                    out[filled + i:filled + e] = self._codes(block)
-                if filled < rows.shape[0]:
-                    rows[filled + i:filled + e] = block
-            filled += span
-            if filled < n:
-                c = self._mul(c, c)
-
-    def powers(self, base: int, n: int) -> np.ndarray:
-        """Codes of base^j for 0 <= j < n, by doubling (`_double`).
-
-        It runs on float digit rows, so no power is decoded, and each
-        block is encoded once.  Only the rows below the largest power of 2
-        under n are kept, since the last step reads no row it writes.
-        Raises ValueError on fields too large for exact float digits
-        (n >= 2), in every characteristic.
-        """
-        out = np.empty(n, dtype=np.int64)
-        out[:1] = 1
-        if n < 2:
-            return out
-        kept = 1 << ((n - 1).bit_length() - 1)
-        digits = np.zeros((kept, self.k), dtype=self._exact_dtype())
-        digits[0, 0] = 1
-        self._double(digits, 1, self._digits(np.array([base])), n, out)
-        return out
-
-    @cached_property
-    def _generator_row(self) -> np.ndarray:
-        return self._digits(np.array([self.F.generator]))
-
-    def build_exp(self, n: int | None = None, prefix: np.ndarray | None = None) -> np.ndarray:
-        """Digit rows of g^j for 0 <= j < n (default order-1), stored in the
-        narrowest unsigned integer dtype that holds p - 1 (a quarter of
-        float32 for p <= 256); products with them are float, in the exact
-        dtype.  Given the rows of a shorter prefix, extends it: only rows
-        [len(prefix), n) are computed, by doubling (`_double`) from
-        g^len(prefix), the prefix's last row times g, so no power is
-        computed twice.
-        """
-        n = self.order - 1 if n is None else n
-        if prefix is None or not len(prefix):  # the row of g^0 = 1
+        if prefix is None or not len(prefix):  # the row of base^0 = 1
             prefix = np.zeros((min(n, 1), self.k), dtype=np.min_scalar_type(self.p - 1))
             prefix[:, 0] = 1
         filled = prefix.shape[0]
@@ -302,8 +268,21 @@ class BulkField:
             return prefix[:n]
         rows = np.empty((n, self.k), dtype=prefix.dtype)
         rows[:filled] = prefix
-        self._double(rows, filled, self._mul(prefix[-1:], self._generator_row), n)
+        c = self._mul(prefix[-1:], self._digits(np.array([base])))
+        while filled < n:
+            span = min(filled, n - filled)
+            shift = (c @ self._shift_matrix).reshape(self.k, self.k)
+            for i in range(0, span, _POWERS_BLOCK):
+                e = min(i + _POWERS_BLOCK, span)
+                rows[filled + i:filled + e] = self._reduce(rows[i:e] @ shift)  # as in _mul
+            filled += span
+            if filled < n:
+                c = self._mul(c, c)
         return rows
+
+    def build_exp(self, n: int | None = None, prefix: np.ndarray | None = None) -> np.ndarray:
+        """`powers` of the generator g, for 0 <= j < n (default order-1)."""
+        return self.powers(self.F.generator, self.order - 1 if n is None else n, prefix)
 
     def build_chi_table(self, exp: np.ndarray) -> np.ndarray:
         """chi[code] in {-1, 0, +1} for the quadratic character (odd p)."""
@@ -357,11 +336,16 @@ class _NormClasses:
         self.bf = BulkField(ctx)
         self.Q = ctx.q - 1
         self.r = self.Q * math.gcd(2, ctx.q0 - 1) // (ctx.q0 - 1)
-        exp = self.bf.powers(ctx.pow(ctx.generator, ctx.q + 1), self.Q)
+        rows = self.bf.powers(ctx.pow(ctx.generator, ctx.q + 1), self.Q)
+        exp = self.bf._codes(rows)
         self._order = np.argsort(exp)
         self._sorted = exp[self._order]
-        # Zech logs: zech[j] = log(1 + gamma^j), zech[Q] = log(1 + 0) = 0
-        self.zech = np.append(self.log(self.bf.add_const(exp, 1)), 0)
+        # Zech logs: zech[j] = log(1 + gamma^j), zech[Q] = log(1 + 0) = 0.
+        # 1 + gamma^j adds 1 to digit 0 of the row: the code goes up by 1,
+        # or down by p - 1 where that digit is p - 1
+        exp += 1
+        exp[rows[:, 0] == ctx.p - 1] -= ctx.p
+        self.zech = np.append(self.log(exp), 0)
         if ctx.p == 2:
             # Tr_{F_q/F_2} is 0 exactly on the image of u -> u^2 + u = u(1 + u)
             j = np.arange(1, self.Q)
@@ -470,9 +454,10 @@ def _survivors(cur: np.ndarray, n_tests: int, passes) -> np.ndarray:
 
 def _pattern(bf: BulkField, q0: int, tests: np.ndarray):
     """(keep, passes) for `_scan`, on the float digit rows x of elements
-    g^j.  keep(x) selects the rows left as candidates beyond the orbit
-    walk; passes(x, j, t0, t1) is the pass matrix of tests [t0, t1) on
-    candidate rows.
+    g^j, and the integer digit rows of the tests in ascending code order.
+    keep(x) selects the rows left as candidates beyond the orbit walk;
+    passes(x, j, t0, t1) is the pass matrix of tests [t0, t1) on candidate
+    rows.
 
     Odd q0: x passes the square beta of F_q0 when x (x - beta) is a nonzero
     square, that is when chi(x - beta) == chi(x) = (-1)^j.  x - beta is
@@ -485,7 +470,7 @@ def _pattern(bf: BulkField, q0: int, tests: np.ndarray):
     one product after the chain.
     """
     if q0 % 2:
-        minus = bf.p - bf._digits(tests)
+        minus = bf.p - tests.astype(bf._dtype)
 
         def keep(x):
             return slice(None)
@@ -496,7 +481,7 @@ def _pattern(bf: BulkField, q0: int, tests: np.ndarray):
             return bf._chi(y.reshape(-1, bf.k)).reshape(y.shape[:2]) == signs[:, None]
         return keep, passes
     m = q0.bit_length() - 1
-    times = (bf._digits(tests) @ bf._shift_matrix).reshape(-1, bf.k, bf.k)
+    times = (tests @ bf._shift_matrix).reshape(-1, bf.k, bf.k)
 
     def keep(x):
         return ~bf._trace(x, m).any(axis=1)
@@ -571,7 +556,8 @@ def _scan(K: Field, q0: int, count_all: bool = False):
     block and `_survivors` runs the tests on what is left.  The elements
     stay float digit rows: a block gathers its residues' rows from the
     prefix and takes one product with the digit matrix of g^j0, g^j0 moves
-    on by one product per block, and only the first witness is encoded.
+    on by one product per block.  The tests are encoded once, to sort
+    them; of the candidates, only the first witness is encoded.
 
     Even q0 with q = q0^2 has no candidate, so the scan returns at once:
     Tr(x) = x + x^q0 vanishes exactly when x^q0 = x, that is on F_q0, which
@@ -582,24 +568,26 @@ def _scan(K: Field, q0: int, count_all: bool = False):
     n1 = K.order - 1
     d = n1 // (q0 - 1) * (2 if q0 % 2 else 1)
     bf = BulkField(K)
-    tests = np.sort(bf.powers(K.pow(K.generator, d), n1 // d))
+    tests = bf.powers(K.pow(K.generator, d), n1 // d)
+    tests = tests[np.argsort(bf._codes(tests))]
     keep, passes = _pattern(bf, q0, tests)
     size = _BLOCK if count_all else min(_BLOCK, max(1 << 8, n1 >> 9))
     first, count, rows, j0 = None, 0, None, 0
-    gj0 = np.zeros_like(bf._generator_row)
+    g = bf._digits(np.array([K.generator]))
+    gj0 = np.zeros_like(g)
     gj0[0, 0] = 1
     while j0 < d:
         n = min(size, d - j0)
         if rows is None or rows.shape[0] < n:
             rows = bf.build_exp(n, rows)
-            step = bf._mul(rows[-1:], bf._generator_row)  # g^n: blocks of this size start n apart
+            step = bf._mul(rows[-1:], g)  # g^n: blocks of this size start n apart
         j = _orbit_representatives(np.arange(max(j0, 1), j0 + n), d, K.p, K.k)
         x = rows[j - j0].astype(bf._dtype)
         if j0:
             x = bf._mul(x, gj0)
         kept = keep(x)
         j, x = j[kept], x[kept]
-        cur = _survivors(np.arange(j.size), tests.size,
+        cur = _survivors(np.arange(j.size), len(tests),
                          lambda i, t0, t1: passes(x[i], j[i], t0, t1))
         if cur.size:
             if first is None:

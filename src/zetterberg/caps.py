@@ -1,9 +1,11 @@
 """Work/size caps.
 
-All exhaustive machinery is bounded by explicit caps; exceeding a cap raises
-SizeCapExceeded rather than truncating silently.  Caps can be overridden via a
-key=value config file whose path is taken from the ZETTERBERG_CONFIG
-environment variable.
+The exhaustive routes are bounded by explicit caps; exceeding a cap raises
+SizeCapExceeded rather than truncating silently.  The weight-2 and weight-3
+passes of min_distance_exhaustive have no cap of their own: they try at most
+length * q0 words, so only max_ambient_order bounds them.  Caps can be
+overridden via a key=value config file whose path is taken from the
+ZETTERBERG_CONFIG environment variable.
 """
 
 from __future__ import annotations

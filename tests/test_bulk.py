@@ -1,10 +1,13 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from zetterberg._bulk import BulkField, covering_layers
-from zetterberg.gf import Field
+from zetterberg import _bulk
+from zetterberg._bulk import BulkField, _NormClasses, covering_layers
+from zetterberg.caps import Caps
+from zetterberg.gf import Field, make_field_for_q0
 
 
 @pytest.mark.parametrize("p,k", [(2, 6), (2, 11), (3, 4), (5, 3), (29, 2), (7, 2)])
@@ -63,7 +66,7 @@ def test_powers_and_frobenius_match_scalar():
         F = Field(p, k)
         bf = BulkField(F)
         base = F.pow(F.generator, 5)
-        pows = bf.powers(base, 70)
+        pows = bf._codes(bf.powers(base, 70))
         x = 1
         for j in range(70):
             assert int(pows[j]) == x
@@ -79,17 +82,19 @@ def test_powers_and_frobenius_match_scalar():
                                        (2, 19, np.float32)])
 def test_powers_match_scalar(p, k, dtype):
     # n = 2^17 + 2^16 + 5 and order - 1 run doubling steps of more than one
-    # 2^16-row block and end past the kept digit rows, in both characteristics
+    # _POWERS_BLOCK-row block, in both characteristics; the seams are the
+    # rows around the block and doubling boundaries (2^16 +- 1, 2^17 +- 1, ...)
     F = Field(p, k)
     bf = BulkField(F)
     assert bf._dtype is dtype
     base = F.generator
-    full = bf.powers(base, F.order - 1)
+    full = bf._codes(bf.powers(base, F.order - 1))
     assert np.unique(full).size == F.order - 1
     for n in (0, 1, 2, 3, 4, 5, 64, 65, 1 << 16, (1 << 16) + 1, (1 << 17) + (1 << 16) + 5):
-        assert (bf.powers(base, n) == full[:n]).all()
+        assert (bf._codes(bf.powers(base, n)) == full[:n]).all()
     rng = random.Random(p * k)
-    seams = [j + d for j in (1 << 16, 1 << 17, 1 << 18, 1 << 19) for d in (-1, 0, 1)
+    block = _bulk._POWERS_BLOCK
+    seams = [j + d for j in (block, 2 * block, 4 * block, 8 * block) for d in (-1, 0, 1)
              if j + d < F.order - 1]
     for j in [0, 1, 2, 3, F.order - 2] + seams + [rng.randrange(F.order - 1) for _ in range(200)]:
         assert int(full[j]) == F.pow(base, j)
@@ -121,6 +126,59 @@ def test_exp_prefix_matches_full_table():
             assert (bf.build_exp(n) == full[:n]).all()
             for m in sizes:
                 assert (bf.build_exp(n, bf.build_exp(m)) == full[:n]).all(), (p, k, m, n)
+
+
+def test_powers_prefix_matches_fresh_build():
+    # as for the exp table, with a base other than g: a prefix of any
+    # length extends to the rows of a fresh build
+    for p, k in [(5, 3), (2, 7)]:
+        F = Field(p, k)
+        bf = BulkField(F)
+        base = F.pow(F.generator, 3)
+        n_full = F.order + 10  # past the order of base, which wraps around
+        full = bf.powers(base, n_full)
+        assert bf._codes(full).tolist() == [F.pow(base, j) for j in range(n_full)]
+        sizes = (0, 1, 2, 3, 7, 8, 64, 65, 100, n_full)
+        for n in sizes:
+            assert (bf.powers(base, n) == full[:n]).all()
+            for m in sizes:
+                assert (bf.powers(base, n, bf.powers(base, m)) == full[:n]).all(), (p, k, m, n)
+
+
+@pytest.mark.parametrize("q0,s", [(2, 1), (3, 2), (5, 3), (2, 8), (4, 4), (257, 1)])
+def test_zech_logs_match_add_const(q0, s):
+    # the Zech logs read off digit 0 of the powers' rows equal the logs of
+    # 1 + gamma^j formed on codes
+    ctx = make_field_for_q0(q0, s)
+    nc = _NormClasses(ctx)
+    exp = nc.bf._codes(nc.bf.powers(ctx.pow(ctx.generator, ctx.q + 1), nc.Q))
+    assert (nc.zech == np.append(nc.log(nc.bf.add_const(exp, 1)), 0)).all()
+
+
+def test_codes_of_narrow_rows_across_the_block_seam():
+    for p, k in [(3, 12), (2, 19), (251, 3)]:
+        bf = BulkField(Field(p, k))
+        rng = np.random.default_rng(p * k)
+        rows = rng.integers(0, p, (_bulk._POWERS_BLOCK + 5, k)).astype(np.uint8)
+        expected = rows.astype(np.int64) @ np.array([p**i for i in range(k)], dtype=np.int64)
+        assert (bf._codes(rows) == expected).all()
+
+
+@pytest.mark.parametrize("q0,s", [(13, 5), (2, 19)])
+def test_norm_class_setup_memory(q0, s):
+    # the set-up holds the powers of gamma as narrow digit rows and their
+    # codes, and never casts all rows to float64 at once: the traced peak
+    # is about 60 (13, 5) and 95 (2, 19) bytes per element of F_q; a whole
+    # cast of the 38-digit rows of (2, 19) alone takes 304
+    ctx = make_field_for_q0(q0, s, caps=Caps(oracle_cap=2**60, max_ambient_order=2**200))
+    ctx.pow(ctx.generator, ctx.q + 1)
+    tracemalloc.start()
+    try:
+        _NormClasses(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 120 * ctx.q, peak / ctx.q
 
 
 @pytest.mark.parametrize("p,k", [(3, 4), (5, 3), (29, 2), (5, 9), (7, 7)])

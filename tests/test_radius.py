@@ -498,7 +498,7 @@ def _steps(ctx):
     """steps[c, i] = c * xi^i for c in F_q0^*, 0 <= i <= q: the syndromes of
     weight-1 words, position by position."""
     bf = BulkField(ctx)
-    xi_pows = bf.powers(ctx.xi, ctx.q + 1)
+    xi_pows = bf._codes(bf.powers(ctx.xi, ctx.q + 1))
     sub = np.array([c for c in subfield_elements(ctx, "q0") if c], dtype=np.int64)
     prod = bf.mul(np.repeat(sub, xi_pows.size), np.tile(xi_pows, sub.size))
     return prod.reshape(sub.size, xi_pows.size)
