@@ -35,6 +35,12 @@ class Caps:
 _FIELDS = {f: int for f in Caps.__dataclass_fields__}
 
 
+def power_exceeds(base: int, e: int, cap: int) -> bool:
+    """base**e > cap for base >= 2, decided from the exponent first: e >=
+    cap.bit_length() already means base**e > cap, so a huge e costs nothing."""
+    return e >= cap.bit_length() or base**e > cap
+
+
 def load_caps(path: str | None = None) -> Caps:
     """Caps from a key=value file; defaults when no file is configured."""
     caps = Caps()

@@ -5,7 +5,9 @@ quadratic-sum closed form, the root-in-H counts for quadratics of the shape
 a*X^2 + b*X + a^q, Artin-Schreier solvability and a closed-form root of
 z^2 + z = c (no linear solve), the quartic non-square pair search, and a
 Weil-bound verification harness for quadratic characters.  Every trace goes
-through `Field.trace_to`.
+through `Field.trace_to`.  One square-free factorization (Yun's algorithm,
+`squarefree_factors`) gives the radical, the square test and the Weil
+harness's degrees.
 """
 
 from __future__ import annotations
@@ -75,92 +77,69 @@ def poly_gcd(F: Field, a, b):
     while b:
         _, r = poly_divmod(F, a, b)
         a, b = b, r
-    if a:
-        inv_lead = F.inv(a[-1])
-        a = tuple(F.mul(c, inv_lead) for c in a)
-    return a
+    return poly_monic(F, a) if a else a
+
+
+def poly_monic(F: Field, a):
+    inv_lead = F.inv(a[-1])
+    return tuple(F.mul(c, inv_lead) for c in a)
 
 
 def poly_deriv(F: Field, a):
-    out = []
-    for i in range(1, len(a)):
-        c = a[i]
-        r = 0
-        for _ in range(i % F.p):
-            r = F.add(r, c)
-        out.append(r)
-    return poly_trim(out)
+    return poly_trim([F.mul(a[i], i % F.p) for i in range(1, len(a))])
 
 
 def poly_pth_root(F: Field, a):
     """b with b^p = a, valid when a has nonzero coefficients only at p | i."""
-    p = F.p
-    out = []
-    root_exp = F.order // p  # inverse of the Frobenius x -> x^p
-    for i in range(0, len(a), p):
-        out.append(F.pow(a[i], root_exp))
-    for i, c in enumerate(a):
-        if c and i % p:
-            raise ValueError("polynomial is not a p-th power")
-    return poly_trim(out)
+    if any(c for i, c in enumerate(a) if i % F.p):
+        raise ValueError("polynomial is not a p-th power")
+    root_exp = F.order // F.p  # inverse of the Frobenius x -> x^p
+    return poly_trim([F.pow(c, root_exp) for c in a[::F.p]])
+
+
+def squarefree_factors(F: Field, f):
+    """[(g, e), ...] with f = lc(f) * prod g^e: each g monic, square-free and
+    of positive degree, the g pairwise coprime, one g per multiplicity e.
+
+    Yun's algorithm over a finite field: the loop peels off the factors whose
+    multiplicity p does not divide, one multiplicity at a time; what is left
+    of gcd(f, f') is then a p-th power, whose root is factored in turn.
+    """
+    f = poly_trim(f)
+    if poly_deg(f) <= 0:
+        return []
+    f = poly_monic(F, f)
+    c = poly_gcd(F, f, poly_deriv(F, f))  # f itself when f' = 0
+    w, _ = poly_divmod(F, f, c)
+    out, e = [], 1
+    while poly_deg(w) > 0:
+        y = poly_gcd(F, w, c)
+        g, _ = poly_divmod(F, w, y)
+        if poly_deg(g) > 0:
+            out.append((g, e))
+        c, _ = poly_divmod(F, c, y)
+        w, e = y, e + 1
+    if poly_deg(c) > 0:
+        out += [(h, k * F.p) for h, k in squarefree_factors(F, poly_pth_root(F, c))]
+    return out
 
 
 def squarefree_part(F: Field, f):
     """Monic radical of f (product of its distinct irreducible factors)."""
-    f = poly_trim(f)
-    if poly_deg(f) <= 0:
-        return (1,)
-    inv_lead = F.inv(f[-1])
-    f = tuple(F.mul(c, inv_lead) for c in f)
-    df = poly_deriv(F, f)
-    if not df:
-        # f = g^p
-        return squarefree_part(F, poly_pth_root(F, f))
-    a = poly_gcd(F, f, df)
-    w, r = poly_divmod(F, f, a)
-    assert not r
-    # w carries each factor whose multiplicity is not divisible by p, once.
-    # strip those factors out of a; what remains is a perfect p-th power.
-    while True:
-        g = poly_gcd(F, a, w)
-        if poly_deg(g) <= 0:
-            break
-        a, r = poly_divmod(F, a, g)
-        assert not r
-    if poly_deg(a) <= 0:
-        return w
-    rest = squarefree_part(F, poly_pth_root(F, a))
-    return poly_mul(F, w, rest)
+    out = (1,)
+    for g, _ in squarefree_factors(F, f):
+        out = poly_mul(F, out, g)
+    return out
 
 
 def poly_is_square(F: Field, f) -> bool:
-    """Is f the square of a polynomial over F?"""
+    """Is f the square of a polynomial over F?  Every multiplicity is even,
+    and the leading coefficient is a square (always so when p = 2)."""
     f = poly_trim(f)
     if not f:
         return True
-    d = poly_deg(f)
-    if d % 2:
-        return False
-    if F.p == 2:
-        # (sum b_i X^i)^2 = sum b_i^2 X^(2i)
-        return all(c == 0 for i, c in enumerate(f) if i % 2)
-    if chi_field(F, f[-1]) != 1:
-        return False
-    # top-down coefficient matching for g with g^2 = f
-    half = d // 2
-    g = [0] * (half + 1)
-    g[half] = F.sqrt(f[-1])
-    inv2lead = F.inv(F.add(g[half], g[half]))
-    for i in range(half - 1, -1, -1):
-        # coefficient of X^(half+i) in g^2 is 2*g[half]*g[i] + sum_{j,k<half}
-        acc = 0
-        for j in range(i + 1, half):
-            k = half + i - j
-            if 0 <= k <= half and k > i:
-                acc = F.add(acc, F.mul(g[j], g[k]))
-        target = f[half + i] if half + i < len(f) else 0
-        g[i] = F.mul(F.sub(target, acc), inv2lead)
-    return poly_mul(F, tuple(g), tuple(g)) == f
+    return all(e % 2 == 0 for _, e in squarefree_factors(F, f)) and (
+        F.p == 2 or chi_field(F, f[-1]) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +263,12 @@ def roots_in_H_even(ctx: FieldContext, alpha: int, beta: int) -> tuple[int, int]
 # the quartic non-square pair of the weight-3 construction
 
 
-def _quartic_pair_scan(F: Field, elements, sub_order: int) -> tuple[int, int]:
-    # elements: the subfield of F of order sub_order, in scan order
+def _quartic_pair_scan(F: Field, d: int) -> tuple[int, int]:
+    # scans the subfield of F of order p^d, codes ascending
+    sub_order = F.p**d
+    if F.p == 2 or sub_order < 5:
+        raise PreconditionViolated("odd q0 >= 5 required")
+    elements = F.subfield_elements(d)
     minus_one = F.neg(1)
     # Prefer pairs avoiding {0, +-1}; for q0 = 5 that set is empty of
     # solutions (every such pair makes the quartic vanish), so fall back to
@@ -311,16 +294,12 @@ def find_nonsquare_quartic_pair(F: Field) -> tuple[int, int]:
     chi((c1+c2+1)(c1+c2-1)(c1-c2+1)(c1-c2-1)) = -1, preferring c1, c2
     outside {0, +-1}.
     """
-    if F.p == 2 or F.order < 5:
-        raise PreconditionViolated("odd q0 >= 5 required")
-    return _quartic_pair_scan(F, range(F.order), F.order)
+    return _quartic_pair_scan(F, F.k)
 
 
 def find_nonsquare_quartic_pair_in_context(ctx: FieldContext) -> tuple[int, int]:
     """Same scan over the F_q0 subfield of an ambient context (codes ascending)."""
-    if ctx.p == 2 or ctx.q0 < 5:
-        raise PreconditionViolated("odd q0 >= 5 required")
-    return _quartic_pair_scan(ctx, ctx.subfield_elements(ctx.m), ctx.q0)
+    return _quartic_pair_scan(ctx, ctx.m)
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +341,11 @@ def weil_bound_check(F: Field, factors) -> WeilReport:
         for j in range(i + 1, len(polys)):
             if poly_deg(poly_gcd(F, polys[i], polys[j])) > 0:
                 raise PreconditionViolated("factors must be pairwise coprime")
-    if all(poly_is_square(F, cs) for cs in polys):
+    # each factor is monic: a square exactly when every multiplicity is even
+    factored = [squarefree_factors(F, cs) for cs in polys]
+    if all(e % 2 == 0 for fs in factored for _, e in fs):
         raise PreconditionViolated("some factor must not be a perfect square")
-    degs = [poly_deg(squarefree_part(F, cs)) for cs in polys]
+    degs = [sum(poly_deg(g) for g, _ in fs) for fs in factored]
     dsum = sum(degs)
     chi = _chi_lookup(F)
     total = 0

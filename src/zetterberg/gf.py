@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 
-from .caps import DEFAULT_CAPS, Caps
+from .caps import DEFAULT_CAPS, Caps, power_exceeds
 from .errors import SizeCapExceeded
 
 # ---------------------------------------------------------------------------
@@ -533,10 +533,9 @@ class FieldContext(Field):
         if m < 1 or s < 1:
             raise ValueError("m and s must be >= 1")
         n = 2 * s * m
-        order = p**n
-        if order > caps.max_ambient_order:
+        if power_exceeds(p, n, caps.max_ambient_order):
             raise SizeCapExceeded(
-                f"ambient order p^(2sm) = {order} exceeds cap {caps.max_ambient_order}")
+                f"ambient order p^(2sm) = {p}^{n} exceeds cap {caps.max_ambient_order}")
         super().__init__(p, n)
         self.m = m
         self.s = s

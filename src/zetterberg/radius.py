@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .caps import DEFAULT_CAPS, Caps
+from .caps import DEFAULT_CAPS, Caps, power_exceeds
 from .code import code_shape
 from .errors import (FormulaMismatch, PreconditionViolated, SizeCapExceeded,
                      Undecidable)
@@ -68,13 +68,12 @@ class RadiusReport:
 def _check_digit_kernels(p: int, k: int, name: str):
     from ._bulk import digit_dtype
     if digit_dtype(p, k) is None:
-        raise SizeCapExceeded(f"{name} = {p ** k} is too large for exact float digit kernels")
+        raise SizeCapExceeded(f"{name} = {p}^{k} is too large for exact float digit kernels")
 
 
 def _check_oracle_cap(q0: int, s: int, caps: Caps):
-    if q0 ** (2 * s) > caps.oracle_cap:
-        raise SizeCapExceeded(
-            f"q^2 = {q0 ** (2 * s)} exceeds oracle cap {caps.oracle_cap}")
+    if power_exceeds(q0, 2 * s, caps.oracle_cap):
+        raise SizeCapExceeded(f"q^2 = {q0}^{2 * s} exceeds oracle cap {caps.oracle_cap}")
 
 
 def covering_radius_oracle(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> RadiusReport:
@@ -119,9 +118,9 @@ def half_full_radius_equality_check(q0: int, s: int, caps: Caps = DEFAULT_CAPS) 
 
 def _criterion_field(q0: int, s: int, caps: Caps) -> Field:
     p, m = prime_power_split(q0)
-    if q0**s > caps.criterion_order_cap:
+    if power_exceeds(q0, s, caps.criterion_order_cap):
         raise SizeCapExceeded(
-            f"q = {q0 ** s} exceeds criterion cap {caps.criterion_order_cap}")
+            f"q = {q0}^{s} exceeds criterion cap {caps.criterion_order_cap}")
     _check_digit_kernels(p, s * m, "q")
     return Field(p, s * m)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from zetterberg.caps import ENV_CONFIG, Caps, load_caps
+from zetterberg.caps import ENV_CONFIG, Caps, load_caps, power_exceeds
 
 
 def test_defaults():
@@ -9,6 +9,13 @@ def test_defaults():
     assert caps.oracle_cap == 2**20
     assert caps.enum_codewords_cap == 2**18
     assert len(Caps.__dataclass_fields__) == 4
+
+
+def test_power_exceeds_is_the_power_comparison():
+    for cap in (1, 2, 3, 7, 8, 9, 2**20, 2**32 - 1, 2**32, 2**32 + 1):
+        for base in (2, 3, 4, 13):
+            for e in range(40):
+                assert power_exceeds(base, e, cap) == (base**e > cap)
 
 
 def test_config_file_overrides(tmp_path, monkeypatch):

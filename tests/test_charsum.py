@@ -51,6 +51,52 @@ def test_poly_is_square():
     assert not cs.poly_is_square(F2, (1, 1, 1))
 
 
+def _monic_irreducibles_up_to_cubic(F):
+    """Every monic irreducible of degree 1 to 3: at those degrees,
+    irreducible means no root in F."""
+    out = []
+    for deg in (1, 2, 3):
+        for low in range(F.order**deg):
+            poly = tuple((low // F.order**i) % F.order for i in range(deg)) + (1,)
+            if deg == 1 or all(cs.poly_eval(F, poly, x) for x in range(F.order)):
+                out.append(poly)
+    return out
+
+
+def _poly_pow(F, f, e):
+    out = (1,)
+    for _ in range(e):
+        out = cs.poly_mul(F, out, f)
+    return out
+
+
+def test_squarefree_factors_against_brute_force():
+    rng = random.Random(5)
+    for p, k in [(2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]:
+        F = Field(p, k)
+        irreducibles = _monic_irreducibles_up_to_cubic(F)
+        for case in range(40):
+            # every fourth case is a pure p-th power, where f' = 0
+            exps = [p, 2 * p] if case % 4 == 0 else [1, 2, 3, p, p + 1, 2 * p]
+            picked = rng.sample(irreducibles, rng.randrange(1, 4))
+            e_of = {P: rng.choice(exps) for P in picked}
+            c = rng.randrange(1, F.order)
+            f = (c,)
+            for P, e in e_of.items():
+                f = cs.poly_mul(F, f, _poly_pow(F, P, e))
+            factors = cs.squarefree_factors(F, f)
+            got = {e: g for g, e in factors}
+            assert len(got) == len(factors)  # one g per multiplicity
+            expected = {}
+            for P, e in e_of.items():
+                expected[e] = cs.poly_mul(F, expected.get(e, (1,)), P)
+            assert got == expected
+            gs = list(got.values())
+            assert all(cs.poly_is_monic(g) for g in gs)
+            assert all(cs.poly_gcd(F, g, h) == (1,)
+                       for i, g in enumerate(gs) for h in gs[i + 1:])
+
+
 # ---------------------------------------------------------------------------
 # quadratic sums (the closed form self-checks inside the call)
 

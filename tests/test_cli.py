@@ -154,6 +154,33 @@ def test_mindist_cap_exceeded_exit_code():
     assert r.returncode == 3
 
 
+def test_huge_s_refused_from_exponent(tmp_path, monkeypatch, capsys):
+    # each power has over 4,300 digits, past Python's int-to-str limit: the
+    # cap checks compare exponents and print the power as q0^e
+    for args, message in (
+            (["radius", "--q0", "3", "--s", "4509", "--method", "oracle"],
+             "q^2 = 3^9018 exceeds oracle cap 1048576"),
+            (["radius", "--q0", "3", "--s", "9017", "--method", "criterion"],
+             "q = 3^9017 exceeds criterion cap 33554432"),
+            (["field", "--p", "2", "--m", "1", "--s", "7200"],
+             "ambient order p^(2sm) = 2^14400 exceeds cap 4294967296"),
+            (["mindist", "--q0", "2", "--s", "7200", "--variant", "full", "--exhaustive"],
+             "ambient order p^(2sm) = 2^14400 exceeds cap 4294967296")):
+        assert cli.main(args) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    # verify declines the over-cap routes and keeps the shortcut's verdict
+    assert cli.main(["radius", "--q0", "13", "--s", "2001", "--method", "verify",
+                     "--no-timing"]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "shortcut:s>=s_*"
+    # past a lifted criterion cap, the digit-kernel limit prints q0^e too
+    cfg = tmp_path / "caps.conf"
+    cfg.write_text("criterion_order_cap=0x1" + "0" * 4000 + "\n")
+    monkeypatch.setenv(ENV_CONFIG, str(cfg))
+    assert cli.main(["radius", "--q0", "3", "--s", "9017", "--method", "criterion"]) == 3
+    assert capsys.readouterr().err == \
+        "error: q = 3^9017 is too large for exact float digit kernels\n"
+
+
 def test_mindist_weight5_past_length_64():
     r = run_cli("mindist", "--q0", "2", "--s", "6", "--variant", "full",
                 "--exhaustive")
