@@ -396,23 +396,29 @@ def _class_layers(nc: _NormClasses) -> np.ndarray:
     The class graph joins class(n) to class(1 + z) for the z of each
     norm n; it is symmetric because G = -G.  A level expands the rows
     (norm logs) of the previous level's classes, block by block, and stops
-    early once every class is reached.
+    early once every class is reached.  Each level's first block holds
+    about _WIDE grid cells (at least one row); the blocks then double up
+    to _GRID_BLOCK cells, the memory bound of one block.  One row of the
+    grid already reaches about half of the classes, so the last level
+    usually stops within its first few blocks instead of a whole wide one.
     """
     Q, r = nc.Q, nc.r
     layer = np.zeros(r, dtype=np.int64)  # 0: not reached yet
     layer[0] = 1
     row_class = np.arange(Q) % r
-    block = max(1, _GRID_BLOCK // (Q + 1))
+    cap = max(1, _GRID_BLOCK // (Q + 1))
     level = 1
     while not layer.all():
         level += 1
         rows = np.flatnonzero(layer[row_class] == level - 1)
         hit = layer > 0
-        for i in range(0, rows.size, block):
+        i, block = 0, min(cap, max(1, _WIDE // (Q + 1)))
+        while i < rows.size:
             targets = nc.edges(rows[i:i + block])
             hit[targets[targets >= 0]] = True
             if hit.all():
                 break
+            i, block = i + block, min(2 * block, cap)
         new = hit & (layer == 0)
         if not new.any():
             raise ArithmeticError("step set does not generate F_{q^2}")

@@ -172,6 +172,85 @@ def test_oracle_layer_counts_pinned():
         assert _layer_counts(make_field_for_q0(q0, s)) == counts, (q0, s)
 
 
+def test_class_layers_stop_at_the_rows_they_need(monkeypatch):
+    # the edge rows the BFS evaluates, summed over its levels: the last level
+    # of these rho=3 cells is complete after a handful of rows, so the blocks
+    # must start small (a first block of _GRID_BLOCK cells passes 65-194 rows
+    # here); no block may exceed that memory bound
+    sizes = []
+    edges = _bulk._NormClasses.edges
+
+    def counting_edges(self, rows):
+        sizes.append(rows.size)
+        return edges(self, rows)
+
+    monkeypatch.setattr(_bulk._NormClasses, "edges", counting_edges)
+    cells = [(2, 9), (2, 10), (4, 5), (7, 3)]
+    for q0, s in cells:
+        sizes.clear()
+        _class_layers(make_field_for_q0(q0, s))
+        assert sum(sizes) <= 32, (q0, s, sizes)
+        assert max(sizes) <= max(1, _bulk._GRID_BLOCK // q0**s), (q0, s, sizes)
+    # a bound below the first block caps the first block too
+    monkeypatch.setattr(_bulk, "_GRID_BLOCK", 1 << 10)
+    for q0, s in cells:
+        sizes.clear()
+        _class_layers(make_field_for_q0(q0, s))
+        assert max(sizes) <= max(1, (1 << 10) // q0**s), (q0, s, sizes)
+
+
+def test_oracle_layers_are_frobenius_symmetric():
+    # y -> y^p maps the step set onto itself and class c to p*c mod r, so
+    # layer[c] == layer[p*c mod r].  Up to 2^20, not only 2^16: a level that
+    # stops after its first block, before every class is hit, leaves every
+    # cell with q^2 <= 2^16 unchanged but splits orbits at (2,10) and (3,6).
+    # The element layers, read through the ambient log table, agree on y
+    # and y^p
+    for q0, s in _oracle_cells(2**20):
+        ctx = make_field_for_q0(q0, s)
+        layer = _class_layers(ctx)
+        c = np.arange(layer.size)
+        assert (layer[ctx.p * c % layer.size] == layer).all(), (q0, s)
+        if ctx.order <= 2**16:
+            element = _element_layers(ctx)
+            y = np.arange(ctx.order, dtype=np.int64)
+            assert (element[BulkField(ctx).frobenius(y, 1)] == element).all(), (q0, s)
+
+
+def _criterion_passes(ctx, x):
+    # the criterion's tests of x in F_q, scalar, in the ambient field
+    sub = [c for c in subfield_elements(ctx, "q0") if c]
+    if ctx.p != 2:  # x(x - beta) a nonzero square of F_q for every square beta
+        half = (ctx.q - 1) // 2
+        return all(ctx.pow(ctx.mul(x, ctx.sub(x, beta)), half) == 1
+                   for beta in {ctx.mul(c, c) for c in sub})
+    m, n = ctx.m, ctx.s * ctx.m
+    if ctx.trace_to(x, m, n):
+        return False
+    for b in sub:
+        y = ctx.add(1, ctx.mul(b, x))
+        if y == 0 or ctx.trace_to(ctx.inv(y), m, n) not in (0, 1):
+            return False
+    return True
+
+
+def test_depth_three_classes_are_the_criterion_witnesses():
+    # with gamma = g^(q+1), class c lies at depth 3 exactly when gamma^c
+    # passes every criterion test (odd q0), or gamma^(-c) does (even q0)
+    cells = [(3, 3), (5, 3), (7, 3), (3, 4), (5, 4), (3, 5), (9, 3),
+             (2, 3), (2, 5), (2, 6), (4, 3), (4, 4), (8, 3), (16, 3)]
+    counts = [12, 15, 13, 39, 77, 120, 9, 3, 15, 30, 0, 4, 0, 0]
+    for (q0, s), count in zip(cells, counts):
+        ctx = make_field_for_q0(q0, s)
+        layer = _class_layers(ctx)
+        r, sign = layer.size, 1 if q0 % 2 else -1
+        gamma = ctx.pow(ctx.generator, ctx.q + 1)
+        deep = {c for c in range(1, r)
+                if _criterion_passes(ctx, ctx.pow(gamma, sign * c % (ctx.q - 1)))}
+        assert deep == set(np.flatnonzero(layer == 3).tolist()), (q0, s)
+        assert len(deep) == count, (q0, s)
+
+
 def test_oracle_runs_no_element_bfs(monkeypatch):
     def no_bfs(*args):
         raise AssertionError("covering_layers called")
