@@ -71,8 +71,12 @@ class ZetterbergCode:
 
     @cached_property
     def positions(self) -> list:
-        """xi^0 .. xi^(length-1)."""
-        return self.h_powers[: self.length]
+        """xi^0 .. xi^(length-1), walked on first read: the half code stops
+        at (q+1)/2, where h_powers walks all of H."""
+        out = [1]
+        for _ in range(self.length - 1):
+            out.append(self.ctx.mul(out[-1], self.xi))
+        return out
 
     @cached_property
     def _baby_steps(self) -> tuple[dict, int]:
@@ -166,17 +170,6 @@ def _codeword(code: ZetterbergCode, terms) -> list:
         word[t] = c
     assert weight(word) == len(terms) and syndrome(code, word) == 0
     return word
-
-
-def codeword_to_json(code: ZetterbergCode, word) -> dict:
-    ctx = code.ctx
-    return {
-        "q0": code.q0,
-        "s": code.s,
-        "variant": code.variant,
-        "support": support(word),
-        "coeffs": [list(ctx.decode(word[i])) for i in support(word)],
-    }
 
 
 # ---------------------------------------------------------------------------

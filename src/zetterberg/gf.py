@@ -15,10 +15,10 @@ and one square-and-multiply loop, _binary_pow.  Field.pow runs that loop on
 codes for p = 2 and, through _poly_powmod, on one decoded coefficient tuple
 for odd p, so an odd-p power decodes and encodes once.
 
-Three routines divide polynomials instead, through one long division,
-_poly_divmod: Ben-Or's gcd, the extended Euclidean algorithm of Field.inv
-(both parities) and the resultant _poly_res, which gives the norm
-N(z) = Res(f, z) of an element to F_p in O(k^2) operations.  Since
+Two routines divide polynomials instead, through one long division,
+_poly_divmod: the extended Euclidean algorithm of Field.inv (both parities)
+and the resultant _poly_res, nonzero exactly on coprime pairs (Ben-Or's
+test) and the norm N(z) = Res(f, z) of an element to F_p, in O(k^2).  Since
 z^((p^k - 1)/(p - 1)) = N(z), every power of z whose exponent is a multiple
 of (p^k - 1)/(p - 1) is a power of an integer mod p: the generator scan
 tests the primes of p - 1 that way, and Field.sqrt runs Euler's test on N(a).
@@ -191,18 +191,6 @@ def _poly_divmod(r, b, p):
     return quot
 
 
-def _poly_gcd(a, b, p):
-    # monic gcd; b trimmed
-    a, b = list(a), list(b)
-    while b:
-        _poly_divmod(a, b, p)
-        a, b = b, a
-    if a:  # normalize monic
-        inv_lead = pow(a[-1], p - 2, p)
-        a = [c * inv_lead % p for c in a]
-    return tuple(a)
-
-
 def _poly_res(f, a, p):
     """Res(f, a) over F_p for a monic f: the product of a over the roots of
     f.  For an irreducible f it is the norm of a(X) mod f down to F_p.
@@ -243,14 +231,14 @@ def _poly_inv(a, f, p):
 
 
 def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Ben-Or's test for a monic f of degree n >= 1: gcd(X^(p^i) - X, f) = 1
-    for i = 1 .. n/2, since a reducible f has a factor of degree <= n/2."""
+    """Ben-Or's test for a monic f of degree n >= 1: Res(f, X^(p^i) - X) != 0
+    (coprime) for i = 1 .. n/2; a reducible f has a factor of degree <= n/2."""
     t = (0, 1)
     for _ in range((len(f) - 1) // 2):
         t = _poly_powmod(t, p, f, p)  # X^(p^i) mod f
         g = list(t) + [0] * (2 - len(t))
         g[1] = (g[1] - 1) % p
-        if _poly_gcd(_poly_trim(g), f, p) != (1,):
+        if _poly_res(f, g, p) == 0:
             return False
     return True
 

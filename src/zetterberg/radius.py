@@ -177,7 +177,7 @@ def witness_count_odd(q0: int, s: int, caps: Caps = DEFAULT_CAPS) -> int:
 
 
 def rho_shortcuts(q0: int, s: int) -> tuple[int, str] | None:
-    """A decided rho with its rule name, or None inside the open gap."""
+    """A decided rho with its rule name; None exactly for s in gap_set(q0)."""
     if s < 1:
         raise ValueError("s must be >= 1")
     if q0 % 2 == 0:
@@ -202,12 +202,6 @@ def rho_shortcuts(q0: int, s: int) -> tuple[int, str] | None:
             return 2, "s<=s^*"
         if s >= thresholds.s_star_upper_odd(q0):
             return 3, "s>=s_*"
-    # divisor propagation: rho=3 at a proper odd divisor forces rho=3
-    for d in range(3, s, 2):
-        if s % d == 0:
-            decided = rho_shortcuts(q0, d)
-            if decided is not None and decided[0] == 3:
-                return 3, f"divisor s'={d}"
     return None
 
 

@@ -18,7 +18,15 @@ from .gf import factorize
 
 
 def _holds(q0: int, s: int, B: int, C: int) -> bool:
-    """Exact test of q0^s - q0^(s/2)*B > C."""
+    """Exact test of q0^s - q0^(s/2)*B > C.
+
+    The squared test may read >= as well: no threshold of this module (odd
+    s, C > 0) meets lhs^2 = B^2*q0^s.  Equality makes x = q0^(s/2) = lhs/B
+    an integer with x(x - B) = C > 0, so x - B >= 1 and C >= x > B.  C > B
+    only at odd q0 <= 11 (s_*), q0 = 5 (s'_*) and q0 in {2, 4}; of these,
+    only 4 and 9 give an integer x at odd s, and x(x - B) = C fails for
+    both: at q0 = 9, x >= 27 > C = 23; at q0 = 4, x > B = 56 gives
+    x(x - B) >= 64*8 > C = 96."""
     lhs = q0**s - C
     if B <= 0:
         # q0^(s/2)*B <= 0, so the inequality reduces to q0^s > C

@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 
 import pytest
@@ -50,6 +49,14 @@ def test_h_powers_are_the_subgroup_walk():
         code = C.build_code(ctx, variant)
         assert code.h_powers == subgroup_elements(ctx, "H")
         assert code.h_powers == [ctx.pow(ctx.xi, i) for i in range(ctx.q + 1)]
+
+
+def test_half_code_positions_stop_at_its_length():
+    for q0, s in [(3, 3), (5, 2), (7, 3)]:
+        ctx = make_field_for_q0(q0, s)
+        code = C.build_code(ctx, "half")
+        assert code.positions == [ctx.pow(ctx.xi, i) for i in range(code.length)]
+        assert "h_powers" not in code.__dict__
 
 
 def test_h_index_inverts_the_walk():
@@ -334,14 +341,6 @@ def test_shift_symmetries():
             assert C.contains(code, word)
             shifted = C.cyclic_shift(code, word)
             assert C.contains(code, shifted)
-
-
-def test_codeword_json():
-    code = C.build_code(make_field_for_q0(5, 3), "half")
-    w = C.weight3_witness_half_odd(code)
-    blob = json.loads(json.dumps(C.codeword_to_json(code, w)))
-    assert blob["q0"] == 5 and blob["variant"] == "half"
-    assert len(blob["support"]) == 3 == len(blob["coeffs"])
 
 
 def test_parity_check_columns_round_trip():

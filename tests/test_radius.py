@@ -5,12 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetterberg import _bulk, thresholds
+from zetterberg import _bulk, cli, thresholds
 from zetterberg import radius as R
 from zetterberg._bulk import BulkField, covering_layers
 from zetterberg.caps import Caps
-from zetterberg.errors import (PreconditionViolated, SizeCapExceeded, Undecidable,
-                               ZetterbergError)
+from zetterberg.errors import (FormulaMismatch, PreconditionViolated, SizeCapExceeded,
+                               Undecidable, ZetterbergError)
 from zetterberg.gf import (Field, factorize, find_irreducible, make_field_for_q0,
                            prime_power_split)
 from zetterberg.tower import subfield_elements, subgroup_elements
@@ -287,6 +287,13 @@ def test_oracle_cap():
         R.covering_radius_oracle(2, 11)  # q^2 = 2^22 over the default cap
 
 
+def test_criterion_cap_admits_q_up_to_the_cap():
+    caps = Caps(criterion_order_cap=3**4)
+    assert R.rho_criterion(3, 4, caps=caps).rho == 3
+    with pytest.raises(SizeCapExceeded, match="exceeds criterion cap"):
+        R.rho_criterion(3, 5, caps=caps)
+
+
 def test_criterion_odd_regression_small():
     assert R.rho_criterion_odd(13, 3).rho == 3
     assert R.rho_criterion_odd(17, 3).rho == 2
@@ -511,11 +518,6 @@ def _rho_shortcuts_inline_bounds(q0, s):
             return 2, "s<=s^*"
         if s >= thresholds.s_star_upper_odd(q0):
             return 3, "s>=s_*"
-    for d in range(3, s, 2):
-        if s % d == 0:
-            decided = _rho_shortcuts_inline_bounds(q0, d)
-            if decided is not None and decided[0] == 3:
-                return 3, f"divisor s'={d}"
     return None
 
 
@@ -527,12 +529,37 @@ def test_shortcut_bounds_are_the_s_star_thresholds():
             assert R.rho_shortcuts(q0, s) == _rho_shortcuts_inline_bounds(q0, s), (q0, s)
 
 
-def test_shortcut_divisor_rule():
-    # rho(C_3(5)) = 3 via s >= s_*, and 3 | 9 propagates when the direct
-    # rules stay silent; for q0 = 5 s=9 is already >= s_*, so check the
-    # mechanism on a constructed case instead: s=15 for q0=23 (s_* = 7).
-    rho, rule = R.rho_shortcuts(23, 15)
-    assert rho == 3  # either s >= s_* or the divisor rule; both give 3
+def test_shortcut_s_star_rule_decides_odd_multiples():
+    # 15 = 3 * 5 at q0 = 23 (s_* = 7): the counting bound decides it, no
+    # rho = 3 divisor is needed
+    assert R.rho_shortcuts(23, 15) == (3, "s>=s_*")
+
+
+def test_shortcuts_are_silent_exactly_on_the_gap():
+    # no rule decides a gap s; gap_set's docstring shows why no rho = 3
+    # divisor of s could
+    for q0 in range(2, 513):
+        if len(factorize(q0)) != 1:
+            continue
+        gap = set(thresholds.gap_set(q0))
+        for s in range(1, 61):
+            assert (R.rho_shortcuts(q0, s) is None) == (s in gap), (q0, s)
+
+
+def test_verify_raises_when_the_routes_disagree(monkeypatch, capsys):
+    route = R.rho_criterion
+
+    def flipped(*args):
+        report = route(*args)
+        report.rho = 5 - report.rho  # 3 <-> 2
+        return report
+
+    monkeypatch.setattr(R, "rho_criterion", flipped)
+    with pytest.raises(FormulaMismatch) as err:
+        R.covering_radius(3, 2, "verify")
+    assert "criterion=2" in str(err.value) and "oracle=3" in str(err.value)
+    assert cli.main(["radius", "--q0", "3", "--s", "2", "--method", "verify"]) == 1
+    assert capsys.readouterr().err.startswith("error: methods disagree: ")
 
 
 def test_dispatcher_auto_and_verify():
